@@ -12,10 +12,9 @@ from .algebra import (
     AtomSpace,
     Collection,
     Element,
-    apply_boolean,
     canonical_key,
     enumerate_nonzero,
-    order_test,
+    minimal_elements,
 )
 from .certify import (
     FragmentationCertificate,
@@ -69,11 +68,10 @@ from .fragmentation import (
     from_submeasure,
     max_antichain,
     max_disjoint_family,
-    minimal_elements,
+    require_valid,
 )
 from .intersection import (
     GameSolution,
-    Rational,
     SequenceScore,
     intersection_number,
     intersection_number_bruteforce,
@@ -86,6 +84,6 @@ from .measures import (
     measure_eval,
     measure_from_collection,
 )
-from .simplex import LPConstraint, LPSolution, exact_lp_solve, matrix_game_value
+from .simplex import LPConstraint, LPSolution, exact_lp_solve
 
 __version__ = "0.1.0"

@@ -10,15 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import InputError, SizeError
 
 #: Exhaustive enumeration of B+ refuses beyond this many atoms.
 ENUMERATION_CAP = 16
-
-BOOLEAN_OPS = ("union", "intersection", "complement", "difference")
-ORDER_RELATIONS = ("leq", "disjoint", "equal")
 
 
 @dataclass(frozen=True)
@@ -124,36 +121,30 @@ def canonical_key(e: Element) -> tuple[int, tuple[int, ...]]:
     return (e.size, e.atoms)
 
 
-def apply_boolean(op: str, a: Element, b: Element | None = None) -> Element:
-    """Dispatch a lattice operation by name.
+def minimal_elements(members: Iterable[Element], *, closed_upward: bool) -> list[Element]:
+    """Distinct inclusion-minimal members, in the order they first occur.
 
-    ``b`` must be absent exactly when ``op`` is ``complement``.
+    When the family is upward closed, a member is minimal iff removing any
+    single atom leaves the family, which avoids the quadratic subset scan.
     """
-    if op not in BOOLEAN_OPS:
-        raise InputError(f"unknown boolean operation {op!r}")
-    if op == "complement":
-        if b is not None:
-            raise InputError("complement takes a single element")
-        return a.complement()
-    if b is None:
-        raise InputError(f"{op} needs two elements")
-    if op == "union":
-        return a.union(b)
-    if op == "intersection":
-        return a.intersection(b)
-    return a.difference(b)
-
-
-def order_test(rel: str, a: Element, b: Element) -> bool:
-    """Dispatch an order relation by name: leq, disjoint, or equal."""
-    if rel not in ORDER_RELATIONS:
-        raise InputError(f"unknown order relation {rel!r}")
-    if rel == "leq":
-        return a.leq(b)
-    if rel == "disjoint":
-        return a.disjoint(b)
-    _require_same_space(a, b)
-    return a.mask == b.mask
+    first: dict[int, Element] = {}
+    for e in members:
+        first.setdefault(e.mask, e)
+    out = []
+    for mask, e in first.items():
+        if closed_upward:
+            probe, minimal = mask, True
+            while probe:
+                low = probe & -probe
+                probe ^= low
+                if (mask ^ low) in first:
+                    minimal = False
+                    break
+        else:
+            minimal = not any(other != mask and other & mask == other for other in first)
+        if minimal:
+            out.append(e)
+    return out
 
 
 @lru_cache(maxsize=32)
@@ -190,7 +181,3 @@ class Collection:
 
     def __len__(self) -> int:
         return len(self.members)
-
-
-def collection(space: AtomSpace, members: Sequence[Element]) -> Collection:
-    return Collection(space, tuple(members))

@@ -17,11 +17,12 @@ the first assertion that fails.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .algebra import ENUMERATION_CAP, Collection, Element, canonical_key, enumerate_nonzero
+from .algebra import Collection, Element, canonical_key, enumerate_nonzero, minimal_elements
 from .errors import CertificationError, ContractError, InputError, InternalError
 from .expanders import (
     RETRY_CAP,
@@ -33,12 +34,12 @@ from .expanders import (
 from .fragmentation import (
     AntichainReport,
     Fragmentation,
-    check_fragmentation,
-    check_graded,
     max_disjoint_family,
+    require_valid,
+    search_disjoint_family,
 )
-from .intersection import intersection_number, kappa_of_sequence
-from .measures import Measure, check_measure_axioms, combine_measures
+from .intersection import GameSolution, intersection_number, kappa_of_sequence
+from .measures import Measure, check_measure_axioms, combine_measures, measure_eval
 
 #: Sequences must be at least this factor times K^2 long for the replay.
 MIN_SEQUENCE_FACTOR = 100
@@ -189,17 +190,20 @@ class ProofTrace:
     notes: tuple[str, ...] = ()
 
 
-def _extended_levels(
-    frag: Fragmentation, upto: int, cap: int = ENUMERATION_CAP
-) -> tuple[list[frozenset[Element]], int]:
-    levels = list(frag.levels)
-    extended = 0
-    if len(levels) < upto:
-        full = frozenset(enumerate_nonzero(frag.space, cap))
-        while len(levels) < upto:
-            levels.append(full)
-            extended += 1
-    return levels, extended
+def _level_index(frag: Fragmentation, n: int) -> int:
+    """Index of level n in ``frag.levels``, or ``frag.depth`` for B+.
+
+    Levels past the last are the last level when that is all of B+ (as it is
+    on every covering fragmentation), and B+ otherwise.
+    """
+    if n <= frag.depth:
+        return n - 1
+    return frag.depth - 1 if len(frag.levels[-1]) == frag.space.unit_mask else frag.depth
+
+
+def _level(frag: Fragmentation, n: int) -> frozenset[Element]:
+    i = _level_index(frag, n)
+    return frag.levels[i] if i < frag.depth else frozenset(enumerate_nonzero(frag.space))
 
 
 def replay_proof(
@@ -227,23 +231,10 @@ def replay_proof(
     space = frag.space
     notes: list[str] = []
     if not trust_fragmentation:
-        report = check_fragmentation(frag)
-        if not report.valid:
-            raise ContractError(
-                f"not a valid fragmentation: {report.violation.kind} fails at level "
-                f"{report.violation.level}"
-            )
-        graded = check_graded(frag)
-        if not graded.graded:
-            w = graded.witness
-            raise ContractError(
-                f"fragmentation is not graded at level {w.level} "
-                f"(whole {w.whole.atoms}, part {w.part.atoms})"
-            )
-    levels, extended = _extended_levels(frag, n + 2)
-    if extended:
-        notes.append(f"extended with {extended} copies of B+ to reach level {n + 2}")
-    level_n, level_n2 = levels[n - 1], levels[n + 1]
+        require_valid(frag, graded=True)
+    if n + 2 > frag.depth:
+        notes.append(f"extended with {n + 2 - frag.depth} copies of B+ to reach level {n + 2}")
+    level_n, level_n1, level_n2 = _level(frag, n), _level(frag, n + 1), _level(frag, n + 2)
     for i, c in enumerate(seq):
         if c.space != space:
             raise InputError(f"sequence member {i} lives in a different atom space")
@@ -313,7 +304,7 @@ def replay_proof(
     if bad_i is None:
         raise InternalError("pigeonhole guarantees an index with no piece in level n+2")
 
-    verdict = _descend(seq[bad_i], bad_i, family, a_table, n, levels)
+    verdict = _descend(seq[bad_i], bad_i, family, a_table, n, level_n1, level_n2)
     return ProofTrace(params, partition, family, a_table, verdict, tuple(notes))
 
 
@@ -323,12 +314,12 @@ def _descend(
     family: ExpanderFamily,
     a_table: Mapping[tuple[int, int], Element],
     n: int,
-    levels: Sequence[frozenset[Element]],
+    level_n1: frozenset[Element],
+    level_n2: frozenset[Element],
 ) -> TraceVerdict:
     """Run the graded descent at a member none of whose pieces reached
     level n+2; one of the checks below must fail, and its location is the
     verdict."""
-    level_n1, level_n2 = levels[n], levels[n + 1]
     parts = [a_table[(index, j)] for j in family.sets[index] if (index, j) in a_table]
     parts = [p for p in parts if not p.is_zero]
     if len(parts) == 1:
@@ -407,6 +398,66 @@ class FragmentationCertificate:
     notes: tuple[str, ...] = ()
 
 
+class _LevelAnalysis:
+    """Each distinct level of one fragmentation, analysed at most once.
+
+    Lives for a single certify call.  A level's minimal members feed one LP,
+    and the LP's value kappa also bounds the level's antichain search, since
+    a disjoint family of K members forces kappa <= 1/K.
+    """
+
+    def __init__(self, frag: Fragmentation):
+        self.frag = frag
+        self._games: dict[int, tuple[list[Element], GameSolution | None]] = {}
+        self._antichains: dict[int, tuple[int, tuple[Element, ...]]] = {}
+
+    def game(self, n: int) -> tuple[list[Element], GameSolution | None]:
+        """Minimal members of level n in canonical order, and the exact game
+        over them (None for an empty level)."""
+        key = _level_index(self.frag, n)
+        if key not in self._games:
+            level = sorted(_level(self.frag, n), key=canonical_key)
+            mins = minimal_elements(level, closed_upward=True)
+            solution = intersection_number(Collection(self.frag.space, tuple(mins))) if mins else None
+            self._games[key] = (mins, solution)
+        return self._games[key]
+
+    def antichain(self, n: int) -> AntichainReport:
+        key = _level_index(self.frag, n)
+        if key not in self._antichains:
+            mins, solution = self.game(n)
+            bound = math.floor(1 / solution.value) if solution else 0
+            self._antichains[key] = search_disjoint_family(mins, self.frag.space, bound)
+        return AntichainReport(n, *self._antichains[key])
+
+    def certify(self, n: int) -> LevelCertificate:
+        frag, space = self.frag, self.frag.space
+        notes = (f"levels {frag.depth + 1}..{n + 2} taken as B+",) if n + 2 > frag.depth else ()
+        antichain = self.antichain(n + 2)
+        mins, solution = self.game(n)
+        if solution is None:
+            uniform = Measure(space, tuple(Fraction(1, space.atom_count) for _ in range(space.atom_count)))
+            return LevelCertificate(n, None, antichain, None, uniform, notes + ("level empty; bound vacuous",))
+        bound = intersection_bound(antichain.size)
+        if solution.value < bound:
+            raise CertificationError(
+                f"kappa(level {n}) = {solution.value} < 1/(30*K^2) = {bound} with K = {antichain.size}",
+                witness={
+                    "level": n,
+                    "kappa": solution.value,
+                    "bound": bound,
+                    "K": antichain.size,
+                    "member_weights": solution.member_weights,
+                    "members": tuple(mins),
+                },
+            )
+        measure = Measure(space, solution.atom_weights)
+        # the LP's saddle-point check saw the minimal members; extend it to the whole level
+        if any(measure_eval(measure, c) < solution.value for c in frag.levels[n - 1]):
+            raise InternalError(f"level {n} measure falls below kappa on a non-minimal member")
+        return LevelCertificate(n, solution.value, antichain, bound, measure, notes)
+
+
 def certify_level(frag: Fragmentation, n: int, *, validate: bool = True) -> LevelCertificate:
     """Exact kappa of level n, checked against 1/(30 K^2) with K = K_{n+2}.
 
@@ -415,71 +466,23 @@ def certify_level(frag: Fragmentation, n: int, *, validate: bool = True) -> Leve
     when the bound fails, which cannot happen for honest graded inputs.
     """
     if validate:
-        report = check_fragmentation(frag)
-        if not report.valid:
-            raise ContractError(
-                f"not a valid fragmentation: {report.violation.kind} fails at level "
-                f"{report.violation.level}"
-            )
-        graded = check_graded(frag)
-        if not graded.graded:
-            w = graded.witness
-            raise ContractError(
-                f"fragmentation is not graded at level {w.level}; "
-                "run extract_graded_subfragmentation first"
-            )
+        require_valid(frag, graded=True)
     if n < 1 or n > frag.depth:
         raise InputError(f"level {n} does not exist")
-    space = frag.space
-    levels, extended = _extended_levels(frag, n + 2)
-    notes = (f"levels {frag.depth + 1}..{n + 2} taken as B+",) if extended else ()
-
-    size, witness = max_disjoint_family(levels[n + 1], space, assume_upward_closed=True)
-    antichain = AntichainReport(n + 2, size, witness)
-
-    level_n = levels[n - 1]
-    if not level_n:
-        uniform = Measure(space, tuple(Fraction(1, space.atom_count) for _ in range(space.atom_count)))
-        return LevelCertificate(n, None, antichain, None, uniform, notes + ("level empty; bound vacuous",))
-
-    ordered = tuple(sorted(level_n, key=canonical_key))
-    solution = intersection_number(Collection(space, ordered))
-    bound = intersection_bound(size)
-    if solution.value < bound:
-        raise CertificationError(
-            f"kappa(level {n}) = {solution.value} < 1/(30*K^2) = {bound} with K = {size}",
-            witness={
-                "level": n,
-                "kappa": solution.value,
-                "bound": bound,
-                "K": size,
-                "member_weights": solution.member_weights,
-                "members": ordered,
-            },
-        )
-    return LevelCertificate(n, solution.value, antichain, bound, Measure(space, solution.atom_weights), notes)
+    return _LevelAnalysis(frag).certify(n)
 
 
 def certify_fragmentation(frag: Fragmentation) -> FragmentationCertificate:
     """Certify every level and produce a strictly positive measure.
 
-    The per-level dual measures are blended with weights 2^-n and the
-    resulting measure's axioms are re-checked exhaustively.
+    Each level's LP is solved once and also bounds the antichain search of
+    the level two below.  The per-level dual measures are blended with
+    weights 2^-n and the resulting measure's axioms are re-checked
+    exhaustively.
     """
-    report = check_fragmentation(frag)
-    if not report.valid:
-        raise ContractError(
-            f"not a valid fragmentation: {report.violation.kind} fails at level "
-            f"{report.violation.level}"
-        )
-    graded = check_graded(frag)
-    if not graded.graded:
-        w = graded.witness
-        raise ContractError(
-            f"fragmentation is not graded at level {w.level}; "
-            "run extract_graded_subfragmentation first"
-        )
-    certs = tuple(certify_level(frag, n, validate=False) for n in range(1, frag.depth + 1))
+    require_valid(frag, graded=True)
+    analysis = _LevelAnalysis(frag)
+    certs = tuple(analysis.certify(n) for n in range(1, frag.depth + 1))
     pairs = [
         (cert.measure, cert.kappa if cert.kappa is not None else Fraction(1)) for cert in certs
     ]

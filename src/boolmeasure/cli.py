@@ -40,7 +40,14 @@ from .errors import (
     InternalError,
 )
 from .expanders import choice_function, verify_expansion
-from .fragmentation import check_fragmentation, check_graded, from_measure, from_submeasure, max_antichain
+from .fragmentation import (
+    FragmentationViolation,
+    GradedWitness,
+    from_measure,
+    from_submeasure,
+    max_antichain,
+    require_valid,
+)
 from .generators import gen_collection, gen_expander, gen_fragmentation, gen_measure, gen_submeasure
 from .intersection import intersection_number, intersection_number_bruteforce
 from .jsonio import (
@@ -184,12 +191,26 @@ def _frag_from_instance(inst: InstanceFile) -> tuple:
     raise InputError('input file has no "fragmentation", "measure", or "submeasure" section')
 
 
-def _violation_json(violation) -> dict:
-    return {
-        "kind": violation.kind,
-        "level": violation.level,
-        "elements": [element_to_json(e) for e in violation.elements],
-    }
+def _violation_witness(exc: ContractError) -> dict:
+    """The JSON witness of a failed validation; re-raises any other contract failure."""
+    v = exc.violation
+    if isinstance(v, FragmentationViolation):
+        return {
+            "fragmentation_violation": {
+                "kind": v.kind,
+                "level": v.level,
+                "elements": [element_to_json(e) for e in v.elements],
+            }
+        }
+    if isinstance(v, GradedWitness):
+        return {
+            "graded_violation": {
+                "level": v.level,
+                "whole": element_to_json(v.whole),
+                "part": element_to_json(v.part),
+            }
+        }
+    raise exc
 
 
 def _cmd_certify(args) -> int:
@@ -198,69 +219,16 @@ def _cmd_certify(args) -> int:
     inst = load_instance(args.input)
     frag, notes = _frag_from_instance(inst)
 
-    report = check_fragmentation(frag)
-    if not report.valid:
-        _emit(
-            _report(
-                "certify",
-                digest,
-                "fails",
-                started,
-                witnesses={"fragmentation_violation": _violation_json(report.violation)},
-                notes=notes,
-            )
-        )
-        return 1
-    graded = check_graded(frag)
-    if not graded.graded:
-        w = graded.witness
-        _emit(
-            _report(
-                "certify",
-                digest,
-                "fails",
-                started,
-                witnesses={
-                    "graded_violation": {
-                        "level": w.level,
-                        "whole": element_to_json(w.whole),
-                        "part": element_to_json(w.part),
-                    }
-                },
-                notes=notes,
-            )
-        )
-        return 1
-
-    levels = [args.level] if args.level is not None else list(range(1, frag.depth + 1))
-    level_reports = []
-    traces = []
     try:
-        for n in levels:
-            cert = certify_level(frag, n, validate=False)
-            entry = {
-                "level": cert.level,
-                "kappa": _pq(cert.kappa) if cert.kappa is not None else None,
-                "K": cert.K,
-                "bound": _pq(cert.bound) if cert.bound is not None else None,
-                "measure": measure_to_json(cert.measure),
-                "notes": list(cert.notes),
-            }
-            if cert.kappa is not None:
-                params = select_parameters(cert.K, minimum_sequence_length(cert.K), level=n)
-                entry["parameters"] = {
-                    "K": params.K,
-                    "m": params.m,
-                    "k": params.k,
-                    "p": params.p,
-                }
-            level_reports.append(entry)
-            if args.trace and cert.kappa is not None:
-                members = sorted(frag.level(n), key=canonical_key)
-                length = minimum_sequence_length(cert.K)
-                sequence = [members[i % len(members)] for i in range(length)]
-                trace = replay_proof(frag, n, sequence, args.seed, trust_fragmentation=True)
-                traces.append(_trace_to_json(trace))
+        if args.level is None:
+            full = certify_fragmentation(frag)
+            certs, measure = full.level_certificates, full.measure
+        else:
+            certs, measure = (certify_level(frag, args.level),), None
+    except ContractError as exc:
+        witnesses = _violation_witness(exc)
+        _emit(_report("certify", digest, "fails", started, witnesses=witnesses, notes=notes))
+        return 1
     except CertificationError as exc:
         witness = exc.witness or {}
         _emit(
@@ -279,16 +247,42 @@ def _cmd_certify(args) -> int:
                         "members": [element_to_json(e) for e in witness.get("members", ())],
                     }
                 },
-                levels=level_reports,
+                levels=[],
                 notes=notes,
             )
         )
         return 1
 
+    level_reports = []
+    traces = []
+    for cert in certs:
+        entry = {
+            "level": cert.level,
+            "kappa": _pq(cert.kappa) if cert.kappa is not None else None,
+            "K": cert.K,
+            "bound": _pq(cert.bound) if cert.bound is not None else None,
+            "measure": measure_to_json(cert.measure),
+            "notes": list(cert.notes),
+        }
+        if cert.kappa is not None:
+            params = select_parameters(cert.K, minimum_sequence_length(cert.K), level=cert.level)
+            entry["parameters"] = {
+                "K": params.K,
+                "m": params.m,
+                "k": params.k,
+                "p": params.p,
+            }
+        level_reports.append(entry)
+        if args.trace and cert.kappa is not None:
+            members = sorted(frag.level(cert.level), key=canonical_key)
+            length = minimum_sequence_length(cert.K)
+            sequence = [members[i % len(members)] for i in range(length)]
+            trace = replay_proof(frag, cert.level, sequence, args.seed, trust_fragmentation=True)
+            traces.append(_trace_to_json(trace))
+
     sections = {"levels": level_reports, "notes": notes}
-    if args.level is None:
-        full = certify_fragmentation(frag)
-        sections["measure"] = measure_to_json(full.measure)
+    if measure is not None:
+        sections["measure"] = measure_to_json(measure)
     if args.trace:
         sections["traces"] = traces
     _emit(_report("certify", digest, "holds", started, **sections))
@@ -300,40 +294,15 @@ def _cmd_check_frag(args) -> int:
     digest = _digest(args.input)
     inst = load_instance(args.input)
     frag, notes = _frag_from_instance(inst)
-    report = check_fragmentation(frag)
-    if not report.valid:
-        _emit(
-            _report(
-                "check-frag",
-                digest,
-                "fails",
-                started,
-                witnesses={"fragmentation_violation": _violation_json(report.violation)},
-                notes=notes,
-            )
-        )
-        return 1
-    graded = check_graded(frag)
-    values = {"levels": frag.depth, "valid": True, "graded": graded.graded}
-    if not graded.graded:
-        w = graded.witness
-        _emit(
-            _report(
-                "check-frag",
-                digest,
-                "fails",
-                started,
-                values=values,
-                witnesses={
-                    "graded_violation": {
-                        "level": w.level,
-                        "whole": element_to_json(w.whole),
-                        "part": element_to_json(w.part),
-                    }
-                },
-                notes=notes,
-            )
-        )
+    values = {"levels": frag.depth, "valid": True, "graded": True}
+    try:
+        require_valid(frag, graded=True)
+    except ContractError as exc:
+        witnesses = _violation_witness(exc)
+        sections = {"witnesses": witnesses, "notes": notes}
+        if "graded_violation" in witnesses:
+            sections["values"] = dict(values, graded=False)
+        _emit(_report("check-frag", digest, "fails", started, **sections))
         return 1
     _emit(_report("check-frag", digest, "holds", started, values=values, notes=notes))
     return 0

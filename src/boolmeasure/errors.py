@@ -23,7 +23,12 @@ class SizeError(InputError):
 
 class ContractError(BoolMeasureError):
     """A precondition promised by one module to another does not hold
-    (e.g. an invalid fragmentation where a valid one is required)."""
+    (e.g. an invalid fragmentation where a valid one is required).  When a
+    fragmentation fails validation, ``violation`` carries what failed."""
+
+    def __init__(self, message: str, violation=None):
+        super().__init__(message)
+        self.violation = violation
 
 
 class CertificationError(BoolMeasureError):

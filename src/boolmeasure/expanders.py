@@ -25,6 +25,10 @@ RETRY_CAP = 1000
 VERIFY_BUDGET = 2_000_000
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExpanderFamily:
     """m three-point subsets of {0..p-1}, expanding up to k when verified."""
@@ -35,12 +39,14 @@ class ExpanderFamily:
     sets: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        if self.m_size < 1 or self.p_size < 1 or self.k < 1:
-            raise InputError("family parameters must be positive")
+        if not all(_is_int(v) and v >= 1 for v in (self.m_size, self.p_size, self.k)):
+            raise InputError("family parameters must be positive integers")
         if len(self.sets) != self.m_size:
             raise InputError(f"expected {self.m_size} sets, got {len(self.sets)}")
         normalized = []
         for i, s in enumerate(self.sets):
+            if not all(_is_int(x) for x in s):
+                raise InputError(f"set {i} holds a point that is not an integer: {s!r}")
             t = tuple(sorted(s))
             if len(t) != 3 or len(set(t)) != 3:
                 raise InputError(f"set {i} is not a 3-element set: {s!r}")
@@ -130,12 +136,7 @@ def build_expander(
     )
 
 
-def choice_function(
-    family: ExpanderFamily,
-    indices: Iterable[int],
-    *,
-    check_expansion: bool = False,
-) -> ChoiceFunction:
+def choice_function(family: ExpanderFamily, indices: Iterable[int]) -> ChoiceFunction:
     """Injective f with f(i) in A_i for all i in I, via augmenting paths.
 
     For a verified family this succeeds whenever |I| <= k (strict expansion
@@ -148,10 +149,6 @@ def choice_function(
             raise InputError(f"index {i} outside 0..{family.m_size - 1}")
     if len(idx) > family.k:
         raise InputError(f"|I| = {len(idx)} exceeds the family's k = {family.k}")
-    if check_expansion:
-        report = verify_expansion(family)
-        if not report.ok:
-            raise InputError(f"family fails expansion at I = {report.violating}")
 
     match_of_point: dict[int, int] = {}
 

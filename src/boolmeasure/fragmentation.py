@@ -26,8 +26,10 @@ from .algebra import (
     Element,
     canonical_key,
     enumerate_nonzero,
+    minimal_elements,
 )
 from .errors import ContractError, InputError, SizeError
+from .intersection import intersection_number
 from .measures import Measure, subset_sums
 
 #: Node budget for the exact maximum-antichain search.
@@ -118,8 +120,9 @@ def _mask_sets(frag: Fragmentation) -> list[frozenset[int]]:
     return [frozenset(e.mask for e in lv) for lv in frag.levels]
 
 
-def _nested_upward_violation(frag: Fragmentation) -> FragmentationViolation | None:
-    masks = _mask_sets(frag)
+def _nested_upward_violation(
+    frag: Fragmentation, masks: list[frozenset[int]]
+) -> FragmentationViolation | None:
     for n in range(len(masks) - 1):
         if not masks[n] <= masks[n + 1]:
             missing = min(
@@ -143,13 +146,29 @@ def _nested_upward_violation(frag: Fragmentation) -> FragmentationViolation | No
     return None
 
 
+def _refuse(violation: FragmentationViolation | GradedWitness | None) -> None:
+    """Raise :class:`ContractError` carrying ``violation``, if there is one."""
+    if isinstance(violation, GradedWitness):
+        raise ContractError(
+            f"fragmentation is not graded at level {violation.level} (whole "
+            f"{violation.whole.atoms}, part {violation.part.atoms}); "
+            "run extract_graded_subfragmentation first",
+            violation,
+        )
+    if violation is not None:
+        raise ContractError(
+            f"not a valid fragmentation: {violation.kind} fails at level {violation.level}",
+            violation,
+        )
+
+
 def check_fragmentation(frag: Fragmentation, *, cap: int = ENUMERATION_CAP) -> FragmentationReport:
     """Exhaustively verify nestedness, upward closure, and covering."""
     if frag.space.atom_count > cap:
         raise SizeError(
             f"fragmentation check over {frag.space.atom_count} atoms exceeds the cap of {cap}"
         )
-    violation = _nested_upward_violation(frag)
+    violation = _nested_upward_violation(frag, _mask_sets(frag))
     if violation is not None:
         return FragmentationReport(False, violation)
     covered = set()
@@ -161,33 +180,16 @@ def check_fragmentation(frag: Fragmentation, *, cap: int = ENUMERATION_CAP) -> F
     return FragmentationReport(True, None)
 
 
-def minimal_elements(members: Iterable[Element], *, closed_upward: bool) -> list[Element]:
-    """Inclusion-minimal members, in canonical order.
+def require_valid(frag: Fragmentation, *, graded: bool) -> None:
+    """The one validation path: nestedness, upward closure and covering, then
+    gradedness when ``graded`` is set.
 
-    When the family is upward closed, a member is minimal iff removing any
-    single atom leaves the family, which avoids the quadratic subset scan.
+    Raises :class:`ContractError` whose ``violation`` is the first
+    :class:`FragmentationViolation` or :class:`GradedWitness` found.
     """
-    elems = sorted(members, key=canonical_key)
-    masks = {e.mask for e in elems}
-    out = []
-    if closed_upward:
-        for e in elems:
-            mask = e.mask
-            probe = mask
-            minimal = True
-            while probe:
-                low = probe & -probe
-                probe ^= low
-                if (mask ^ low) in masks:
-                    minimal = False
-                    break
-            if minimal:
-                out.append(e)
-        return out
-    for e in elems:
-        if not any(other != e.mask and other & e.mask == other for other in masks):
-            out.append(e)
-    return out
+    _refuse(check_fragmentation(frag).violation)
+    if graded:
+        _refuse(_graded_witness(frag, _mask_sets(frag)))
 
 
 def _submasks_ascending(mask: int) -> list[int]:
@@ -222,6 +224,20 @@ def _graded_step_violation(
     return None
 
 
+def _minimal_sorted(level: Iterable[Element]) -> list[Element]:
+    """Minimal members of an upward-closed level, in canonical order."""
+    return minimal_elements(sorted(level, key=canonical_key), closed_upward=True)
+
+
+def _graded_witness(frag: Fragmentation, masks: list[frozenset[int]]) -> GradedWitness | None:
+    """First gradedness failure of a nested, upward-closed fragmentation."""
+    for n in range(len(frag.levels) - 1):
+        hit = _graded_step_violation(frag.space, _minimal_sorted(frag.levels[n]), masks[n + 1])
+        if hit is not None:
+            return GradedWitness(n + 1, *hit)
+    return None
+
+
 def check_graded(frag: Fragmentation) -> GradedReport:
     """Check gradedness level by level (the top level is exempt).
 
@@ -229,19 +245,10 @@ def check_graded(frag: Fragmentation) -> GradedReport:
     demanded, so threshold-style partial fragmentations can be checked too);
     raises :class:`ContractError` when those prerequisites fail.
     """
-    violation = _nested_upward_violation(frag)
-    if violation is not None:
-        raise ContractError(
-            f"not a valid fragmentation: {violation.kind} fails at level {violation.level}"
-        )
     masks = _mask_sets(frag)
-    for n in range(len(frag.levels) - 1):
-        mins = minimal_elements(frag.levels[n], closed_upward=True)
-        hit = _graded_step_violation(frag.space, mins, masks[n + 1])
-        if hit is not None:
-            whole, part = hit
-            return GradedReport(False, GradedWitness(n + 1, whole, part))
-    return GradedReport(True, None)
+    _refuse(_nested_upward_violation(frag, masks))
+    witness = _graded_witness(frag, masks)
+    return GradedReport(witness is None, witness)
 
 
 def max_disjoint_family(
@@ -250,32 +257,45 @@ def max_disjoint_family(
     *,
     assume_upward_closed: bool = False,
     node_budget: int = ANTICHAIN_NODE_BUDGET,
-    lp_atom_cap: int = ENUMERATION_CAP,
 ) -> tuple[int, tuple[Element, ...]]:
     """Exact maximum pairwise-disjoint subfamily by branch and bound.
 
     Search runs over inclusion-minimal members (any disjoint family shrinks
-    onto minimal members without losing size), seeded with a greedy incumbent
-    and capped by the fractional-packing LP bound at the root.
+    onto minimal members without losing size), capped at the root by the
+    fractional-packing LP bound floor(1/kappa).
     """
-    members = list(members)
-    if not members:
+    cands = sorted(
+        minimal_elements(members, closed_upward=assume_upward_closed), key=canonical_key
+    )
+    if not cands:
         return 0, ()
-    cands = minimal_elements(members, closed_upward=assume_upward_closed)
-    masks = [e.mask for e in cands]
+    bound = len(cands)
+    if space.atom_count <= ENUMERATION_CAP:  # keeps the LP off very wide atom spaces
+        bound = math.floor(1 / intersection_number(Collection(space, tuple(cands))).value)
+    return search_disjoint_family(cands, space, bound, node_budget=node_budget)
 
+
+def search_disjoint_family(
+    cands: Sequence[Element],
+    space: AtomSpace,
+    bound: int,
+    *,
+    node_budget: int = ANTICHAIN_NODE_BUDGET,
+) -> tuple[int, tuple[Element, ...]]:
+    """Largest pairwise-disjoint subfamily of ``cands``, by branch and bound.
+
+    ``cands`` are distinct inclusion-minimal members in canonical order and
+    ``bound`` an upper bound on the answer, such as floor(1/kappa) of the
+    family; the search stops as soon as a family reaches it.
+    """
+    masks = [e.mask for e in cands]
     best: tuple[Element, ...] = ()
     used = 0
     for e in cands:  # greedy incumbent, smallest members first
         if e.mask & used == 0:
             best = best + (e,)
             used |= e.mask
-    ub = len(cands)
-    if space.atom_count <= lp_atom_cap:
-        from .intersection import intersection_number
-
-        value = intersection_number(Collection(space, tuple(cands))).value
-        ub = min(ub, math.floor(1 / value))
+    ub = min(len(cands), bound)
 
     if len(best) < ub:
         nodes = 0
@@ -313,12 +333,7 @@ def max_antichain(
 ) -> AntichainReport:
     """Exact maximal-antichain constant K_n of level n, with a witness."""
     if validate:
-        report = check_fragmentation(frag)
-        if not report.valid:
-            raise ContractError(
-                f"not a valid fragmentation: {report.violation.kind} fails at level "
-                f"{report.violation.level}"
-            )
+        require_valid(frag, graded=False)
     level = frag.level(n)
     size, witness = max_disjoint_family(
         level, frag.space, assume_upward_closed=True, node_budget=node_budget
@@ -327,9 +342,8 @@ def max_antichain(
 
 
 def _threshold_levels(
-    space: AtomSpace, value_of_mask, positive_minimum: Fraction, cap: int
+    space: AtomSpace, value_of_mask, positive_minimum: Fraction, elements: Sequence[Element]
 ) -> Fragmentation:
-    elements = enumerate_nonzero(space, cap)
     depth = 1
     while Fraction(1, 2**depth) > positive_minimum:
         depth += 1
@@ -347,8 +361,9 @@ def from_measure(m: Measure, *, cap: int = ENUMERATION_CAP) -> Fragmentation:
     """
     if not m.strictly_positive:
         raise InputError("threshold fragmentation needs a strictly positive measure")
+    elements = enumerate_nonzero(m.space, cap)  # refuses before the 2^n table is built
     sums = subset_sums(m.atom_weights)
-    return _threshold_levels(m.space, lambda mask: sums[mask], min(m.atom_weights), cap)
+    return _threshold_levels(m.space, lambda mask: sums[mask], min(m.atom_weights), elements)
 
 
 def check_submeasure(phi: Submeasure, *, cap: int = ENUMERATION_CAP) -> None:
@@ -402,11 +417,12 @@ def from_submeasure(phi: Submeasure, *, cap: int = ENUMERATION_CAP) -> Fragmenta
     """
     check_submeasure(phi, cap=cap)
     space = phi.space
+    elements = enumerate_nonzero(space, cap)
     vals = [Fraction(0)] * (space.unit_mask + 1)
-    for e in enumerate_nonzero(space, cap):
+    for e in elements:
         vals[e.mask] = Fraction(phi.values[e])
     minimum = min(vals[1 << x] for x in range(space.atom_count))
-    return _threshold_levels(space, lambda mask: vals[mask], minimum, cap)
+    return _threshold_levels(space, lambda mask: vals[mask], minimum, elements)
 
 
 def extract_graded_subfragmentation(
@@ -419,11 +435,7 @@ def extract_graded_subfragmentation(
     members; a top level equal to B+ (appended when absent) always does, so
     the greedy step cannot fail.  The selected levels pass ``check_graded``.
     """
-    violation = _nested_upward_violation(frag)
-    if violation is not None:
-        raise ContractError(
-            f"not a valid fragmentation: {violation.kind} fails at level {violation.level}"
-        )
+    _refuse(_nested_upward_violation(frag, _mask_sets(frag)))
     levels = list(frag.levels)
     full = frozenset(enumerate_nonzero(frag.space, cap))
     if levels[-1] != full:
@@ -433,7 +445,7 @@ def extract_graded_subfragmentation(
     picks = [0]
     cur = 0
     while cur < len(levels) - 1:
-        mins = minimal_elements(levels[cur], closed_upward=True)
+        mins = _minimal_sorted(levels[cur])
         nxt = None
         for k in range(cur + 1, len(levels)):
             if _graded_step_violation(frag.space, mins, masks[k]) is None:

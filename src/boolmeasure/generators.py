@@ -34,13 +34,12 @@ def gen_submeasure(
     if components < 1:
         raise InputError("components must be positive")
     space = AtomSpace(atom_count)
+    elements = enumerate_nonzero(space)  # refuses before the 2^n tables are built
     tables = [
         subset_sums(gen_measure(atom_count, seed * components + j, max_weight=max_weight).atom_weights)
         for j in range(components)
     ]
-    values = {
-        e: max(table[e.mask] for table in tables) for e in enumerate_nonzero(space)
-    }
+    values = {e: max(table[e.mask] for table in tables) for e in elements}
     return Submeasure(space, values)
 
 

@@ -19,13 +19,9 @@ from itertools import combinations_with_replacement
 from math import comb
 from typing import Sequence
 
-from .algebra import Collection, Element, canonical_key
+from .algebra import Collection, Element, canonical_key, minimal_elements
 from .errors import InputError, InternalError, SizeError
 from .simplex import LEQ, LPConstraint, exact_lp_solve
-
-#: Exact rationals are plain ``fractions.Fraction`` values (lowest terms,
-#: positive denominator, guaranteed by the stdlib).
-Rational = Fraction
 
 #: Default cap on the number of multisets the brute-force search will visit.
 BRUTEFORCE_BUDGET = 2_000_000
@@ -35,7 +31,6 @@ BRUTEFORCE_BUDGET = 2_000_000
 class SequenceScore:
     """The score k/n of one explicit sequence, with its witness."""
 
-    sequence: tuple[Element, ...]
     depth: int
     length: int
     kappa_s: Fraction
@@ -79,26 +74,7 @@ def kappa_of_sequence(sequence: Sequence[Element]) -> SequenceScore:
     depth = max(counts.values())
     atom = min(a for a, c in counts.items() if c == depth)
     indices = tuple(i for i, e in enumerate(seq) if (e.mask >> atom) & 1)
-    return SequenceScore(seq, depth, len(seq), Fraction(depth, len(seq)), atom, indices)
-
-
-def _minimal_distinct(members: Sequence[Element]) -> list[tuple[int, Element]]:
-    """First-occurrence inclusion-minimal members.
-
-    Dropping duplicates and non-minimal members leaves the game value
-    unchanged: shrinking a played member never increases any atom's load, and
-    removing members can only raise the value, so both reductions are exact.
-    """
-    seen: dict[int, int] = {}
-    for i, e in enumerate(members):
-        if e.mask not in seen:
-            seen[e.mask] = i
-    distinct = sorted(seen.items(), key=lambda kv: kv[1])
-    out = []
-    for mask, i in distinct:
-        if not any(other != mask and other & mask == other for other in seen):
-            out.append((i, members[i]))
-    return out
+    return SequenceScore(depth, len(seq), Fraction(depth, len(seq)), atom, indices)
 
 
 def intersection_number(collection: Collection) -> GameSolution:
@@ -113,11 +89,14 @@ def intersection_number(collection: Collection) -> GameSolution:
     if not members:
         raise InputError("collection must be nonempty")
     space = collection.space
-    reduced = _minimal_distinct(members)
-    atoms_used = sorted({a for _, e in reduced for a in e.atoms})
+    # Dropping duplicates and non-minimal members leaves the value unchanged:
+    # shrinking a played member never increases any atom's load, and removing
+    # members can only raise the value, so both reductions are exact.
+    reduced = minimal_elements(members, closed_upward=False)
+    atoms_used = sorted({a for e in reduced for a in e.atoms})
     cons = [
         LPConstraint(
-            tuple(Fraction((e.mask >> x) & 1) for _, e in reduced),
+            tuple(Fraction((e.mask >> x) & 1) for e in reduced),
             LEQ,
             Fraction(1),
         )
@@ -129,9 +108,12 @@ def intersection_number(collection: Collection) -> GameSolution:
         raise InternalError("packing optimum must be positive for a nonempty collection")
     kappa = 1 / tau
 
+    first_index: dict[int, int] = {}
+    for i, e in enumerate(members):
+        first_index.setdefault(e.mask, i)
     member_weights = [Fraction(0)] * len(members)
-    for (i, _), y in zip(reduced, sol.variables):
-        member_weights[i] = y * kappa
+    for e, y in zip(reduced, sol.variables):
+        member_weights[first_index[e.mask]] = y * kappa
     atom_weights = [Fraction(0)] * space.atom_count
     for x, d in zip(atoms_used, sol.duals):
         atom_weights[x] = d * kappa

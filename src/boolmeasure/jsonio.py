@@ -85,7 +85,10 @@ def submeasure_from_json(space: AtomSpace, data: Any) -> Submeasure:
         raise InputError("submeasure values must be an object")
     values: dict[Element, Fraction] = {}
     for key, v in table.items():
-        atoms = [int(part) for part in key.split(",")] if key else []
+        try:
+            atoms = [int(part) for part in key.split(",")] if key else []
+        except ValueError:
+            raise InputError(f"submeasure key {key!r} is not comma-separated atom indices") from None
         values[space.element(atoms)] = parse_rational(v)
     return Submeasure(space, values)
 
@@ -104,6 +107,8 @@ def fragmentation_from_json(space: AtomSpace, data: Any) -> Fragmentation:
     levels = data["levels"]
     if not isinstance(levels, list) or not levels:
         raise InputError("fragmentation levels must be a nonempty array")
+    if not all(isinstance(level, list) for level in levels):
+        raise InputError("each fragmentation level must be an array of elements")
     return Fragmentation(
         space,
         tuple(frozenset(element_from_json(space, item) for item in level) for level in levels),
@@ -121,7 +126,7 @@ def expander_from_json(data: Any) -> ExpanderFamily:
         m, p, k, sets = data["m"], data["p"], data["k"], data["sets"]
     except KeyError as exc:
         raise InputError(f"expander is missing key {exc}") from None
-    if not isinstance(sets, list):
+    if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
         raise InputError("expander sets must be an array of 3-element arrays")
     return ExpanderFamily(m, p, k, tuple(tuple(s) for s in sets))
 

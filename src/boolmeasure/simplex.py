@@ -245,36 +245,3 @@ def _basis_duals(
                 f = aug[r][col]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
     return [aug[r][-1] for r in range(k)]
-
-
-def matrix_game_value(
-    payoff: Sequence[Sequence],
-) -> tuple[Fraction, tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Value and optimal mixed strategies of a zero-sum matrix game.
-
-    ``payoff[r][c]`` is what the row maximizer receives under pure strategies
-    ``(r, c)``.  Solved as: maximize v subject to
-    ``sum_r mu_r * payoff[r][c] >= v`` for every column and ``sum mu = 1``;
-    the column player's optimal mixture is recovered from the duals.
-    """
-    nrows = len(payoff)
-    ncols = len(payoff[0])
-    if any(len(row) != ncols for row in payoff):
-        raise InputError("payoff matrix rows have unequal lengths")
-    objective = [Fraction(0)] * nrows + [Fraction(1)]
-    cons = [
-        LPConstraint(
-            tuple(Fraction(payoff[r][c]) for r in range(nrows)) + (Fraction(-1),),
-            GEQ,
-            Fraction(0),
-        )
-        for c in range(ncols)
-    ]
-    cons.append(LPConstraint(tuple([Fraction(1)] * nrows + [Fraction(0)]), EQ, Fraction(1)))
-    sol = exact_lp_solve(objective, cons, maximize=True, free_variables=(nrows,))
-    mu = sol.variables[:nrows]
-    w = [sol.duals[c] for c in range(ncols)]
-    total = sum(w, Fraction(0))
-    if total != 0:
-        w = [v / total for v in w]
-    return sol.objective, tuple(mu), tuple(w)

@@ -4,48 +4,33 @@ from hypothesis import given, strategies as st
 from boolmeasure.algebra import (
     AtomSpace,
     Collection,
-    apply_boolean,
     canonical_key,
     enumerate_nonzero,
-    order_test,
 )
 from boolmeasure.errors import InputError, SizeError
 
 
 def test_boolean_op_examples():
     sp = AtomSpace(3)
-    assert apply_boolean("union", sp.element([0, 1]), sp.element([1, 2])) == sp.element([0, 1, 2])
-    assert apply_boolean("complement", sp.zero) == sp.element([0, 1, 2])
-    assert apply_boolean("intersection", sp.element([0]), sp.element([1])) == sp.zero
+    assert sp.element([0, 1]).union(sp.element([1, 2])) == sp.element([0, 1, 2])
+    assert sp.zero.complement() == sp.element([0, 1, 2])
+    assert sp.element([0]).intersection(sp.element([1])) == sp.zero
 
 
 def test_order_test_examples():
     sp = AtomSpace(2)
-    assert order_test("leq", sp.element([0]), sp.element([0, 1]))
-    assert not order_test("disjoint", sp.element([0]), sp.element([0, 1]))
-    assert order_test("leq", sp.zero, sp.unit)
-    assert order_test("equal", sp.element([1]), sp.element([1]))
+    assert sp.element([0]).leq(sp.element([0, 1]))
+    assert not sp.element([0]).disjoint(sp.element([0, 1]))
+    assert sp.zero.leq(sp.unit)
 
 
 def test_mismatched_spaces_rejected():
     a = AtomSpace(2).element([0])
     b = AtomSpace(3).element([0])
     with pytest.raises(InputError):
-        apply_boolean("union", a, b)
+        a.union(b)
     with pytest.raises(InputError):
-        order_test("leq", a, b)
-
-
-def test_bad_dispatch_arguments():
-    sp = AtomSpace(2)
-    with pytest.raises(InputError):
-        apply_boolean("xor", sp.zero, sp.unit)
-    with pytest.raises(InputError):
-        apply_boolean("complement", sp.zero, sp.unit)
-    with pytest.raises(InputError):
-        apply_boolean("union", sp.zero)
-    with pytest.raises(InputError):
-        order_test("covers", sp.zero, sp.unit)
+        a.leq(b)
 
 
 def test_element_validation():

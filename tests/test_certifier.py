@@ -1,9 +1,11 @@
+import json
 import random
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
 
+from boolmeasure import fragmentation, intersection
 from boolmeasure.algebra import AtomSpace, Collection, enumerate_nonzero
 from boolmeasure.certify import (
     build_signature_partition,
@@ -15,6 +17,7 @@ from boolmeasure.certify import (
     select_parameters,
     witness_intersection,
 )
+from boolmeasure.cli import main
 from boolmeasure.errors import CertificationError, ContractError, InputError
 from boolmeasure.fragmentation import Fragmentation, from_measure, from_submeasure
 from boolmeasure.generators import gen_measure, gen_submeasure
@@ -305,3 +308,41 @@ def test_replay_deterministic():
     assert t1.expander == t2.expander
     assert t1.a_table == t2.a_table
     assert t1.verdict == t2.verdict
+
+
+def count_calls(monkeypatch, module, name) -> list[int]:
+    """Patch module.name with a wrapper that counts its calls."""
+    original, calls = getattr(module, name), [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("atoms", [4, 6, 8])
+def test_certify_fragmentation_analyses_each_level_once(monkeypatch, atoms):
+    # each level's LP also bounds the antichain search two levels below, and
+    # levels past the last are the last level, so depth LPs suffice
+    frag = from_measure(gen_measure(atoms, 1))
+    lp = count_calls(monkeypatch, intersection, "exact_lp_solve")
+    scans = count_calls(monkeypatch, fragmentation, "_nested_upward_violation")
+    certify_fragmentation(frag)
+    assert lp[0] == frag.depth
+    assert scans[0] == 1
+
+
+def test_cli_certify_certifies_once(monkeypatch, tmp_path, capsys):
+    # CLI certify validates and certifies once, then reports what it got
+    path = str(tmp_path / "m.json")
+    assert main(["gen", "--kind", "measure", "--atoms", "6", "--seed", "1", "--out", path]) == 0
+    lp = count_calls(monkeypatch, intersection, "exact_lp_solve")
+    scans = count_calls(monkeypatch, fragmentation, "_nested_upward_violation")
+    capsys.readouterr()
+    assert main(["certify", "--input", path]) == 0
+    depth = from_measure(gen_measure(6, 1)).depth
+    assert len(json.loads(capsys.readouterr().out)["levels"]) == depth
+    assert lp[0] == depth
+    assert scans[0] == 1

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+
+from hypothesis import example, given, settings, strategies as st
 
 from boolmeasure.cli import main
 
@@ -297,3 +301,72 @@ def test_every_subcommand_on_every_fixture_kind(tmp_path, capsys):
                         _check_parameters_block(level["parameters"])
                         parameter_blocks += 1
     assert parameter_blocks > 0
+
+
+# Random and malformed instance files.  Atom counts stay at most 6 and
+# expanders at most 8 sets, so every exhaustive path stays small.
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats(-2, 2) | st.text("0123,/ab-", max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("0,a", max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_ELEMENT = st.lists(st.integers(-1, 6), max_size=4)
+_RATIONAL = st.sampled_from(["1/2", "1/3", "1/6", "1", "0", "2/3", "-1/2", "1/0", "x"]) | _JUNK
+_INSTANCE = st.fixed_dictionaries(
+    {},
+    optional={
+        "atom_count": st.integers(0, 6) | _JUNK,
+        "collection": st.lists(_ELEMENT | _JUNK, max_size=4) | _JUNK,
+        "measure": st.fixed_dictionaries({"weights": st.lists(_RATIONAL, max_size=6)}) | _JUNK,
+        "submeasure": st.fixed_dictionaries(
+            {"values": st.dictionaries(st.text("0123,a", max_size=5), _RATIONAL, max_size=6)}
+        )
+        | _JUNK,
+        "fragmentation": st.fixed_dictionaries(
+            {"levels": st.lists(st.lists(_ELEMENT, max_size=4) | _JUNK, max_size=3)}
+        )
+        | _JUNK,
+        "expander": st.fixed_dictionaries(
+            {
+                "m": st.integers(1, 8) | _JUNK,
+                "p": st.integers(1, 6) | _JUNK,
+                "k": st.integers(1, 4) | _JUNK,
+                "sets": st.lists(st.lists(st.integers(0, 6), max_size=4) | _JUNK, max_size=8),
+            }
+        )
+        | _JUNK,
+    },
+)
+
+_CONTRACT_COMMANDS = [
+    ["kappa"],
+    ["kappa", "--brute", "3"],
+    ["measure"],
+    ["certify"],
+    ["certify", "--level", "1", "--trace"],
+    ["check-frag"],
+    ["antichain", "--level", "1"],
+    ["kr-verify"],
+    ["kr-verify", "--choices"],
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=_INSTANCE)
+@example(instance={"atom_count": 2, "submeasure": {"values": {"a": "1"}}})
+@example(instance={"atom_count": 2, "submeasure": {"values": {"0,": "1"}}})
+@example(instance={"atom_count": 2, "fragmentation": {"levels": [3]}})
+@example(instance={"expander": {"m": "1", "p": 6, "k": 3, "sets": [[0, 1, 2]]}})
+@example(instance={"expander": {"m": 1, "p": 6, "k": 3, "sets": [5]}})
+def test_cli_contract_on_random_instances(tmp_path_factory, instance):
+    path = tmp_path_factory.getbasetemp() / "contract-instance.json"
+    path.write_text(json.dumps(instance), encoding="utf-8")
+    for command in _CONTRACT_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command[0], "--input", str(path), *command[1:]])
+        case = f"{' '.join(command)} on {instance!r}: exit {code}, stderr {err.getvalue()!r}"
+        assert code in (0, 1, 2), case
+        assert "internal error" not in err.getvalue(), case
+        if code == 0:
+            assert json.loads(out.getvalue())["command"] == command[0], case

@@ -119,8 +119,6 @@ def test_choice_function_argument_validation():
         choice_function(fam, (0, 1, 2))  # exceeds k
     with pytest.raises(InputError):
         choice_function(fam, (7,))
-    with pytest.raises(InputError):
-        choice_function(ExpanderFamily(3, 9, 3, ((0, 1, 2),) * 3), (0, 1, 2), check_expansion=True)
 
 
 def test_expansion_implies_choice_everywhere():

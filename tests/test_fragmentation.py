@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from boolmeasure import fragmentation, generators
 from boolmeasure.algebra import AtomSpace, enumerate_nonzero
 from boolmeasure.errors import ContractError, InputError, SizeError
 from boolmeasure.fragmentation import (
@@ -18,6 +19,7 @@ from boolmeasure.fragmentation import (
     max_disjoint_family,
     minimal_elements,
 )
+from boolmeasure.generators import gen_measure, gen_submeasure
 from boolmeasure.measures import Measure, subset_sums
 
 from _oracles import graded_by_full_decomposition, max_packing_by_mask_dp
@@ -328,3 +330,15 @@ def test_extract_output_is_subsequence_of_input_levels():
         for lv in out.levels:
             positions.append(next(i for i, cand in enumerate(pool) if cand == lv))
         assert positions == sorted(positions)
+
+
+def test_enumeration_cap_checked_before_subset_table(monkeypatch):
+    def refuse(weights):
+        raise AssertionError(f"2^{len(weights)} subset table built before the cap check")
+
+    monkeypatch.setattr(fragmentation, "subset_sums", refuse)
+    monkeypatch.setattr(generators, "subset_sums", refuse)
+    with pytest.raises(SizeError):
+        from_measure(gen_measure(17, 0))
+    with pytest.raises(SizeError):
+        gen_submeasure(17, 0)

@@ -95,6 +95,16 @@ def test_malformed_sections():
         instance_from_json({"atom_count": 2, "expander": {"m": 1}})
     with pytest.raises(InputError):
         instance_from_json({"atom_count": 2, "submeasure": {"values": {"0": "0/0"}}})
+    for key in ("a", "0,"):
+        with pytest.raises(InputError):
+            instance_from_json({"atom_count": 2, "submeasure": {"values": {key: "1"}}})
+    with pytest.raises(InputError):
+        instance_from_json({"atom_count": 2, "fragmentation": {"levels": [3]}})
+    good = {"m": 1, "p": 9, "k": 3, "sets": [[0, 1, 2]]}
+    for bad in ({"m": "1"}, {"p": "9"}, {"k": "3"}, {"k": 1.5}, {"k": True}, {"sets": [5]},
+                {"sets": [[0, 1, "2"]]}):
+        with pytest.raises(InputError):
+            instance_from_json({"expander": {**good, **bad}})
 
 
 def test_measure_weights_normalized_on_input():

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from boolmeasure.errors import InputError, LPInfeasibleError, LPUnboundedError
-from boolmeasure.simplex import EQ, GEQ, LEQ, constraint, exact_lp_solve, matrix_game_value
+from boolmeasure.simplex import EQ, GEQ, LEQ, constraint, exact_lp_solve
 
 from _oracles import lp_optimum_by_vertex_enumeration
 
@@ -16,13 +16,6 @@ def test_free_variable_maximum():
     sol = exact_lp_solve([0, 0, 1], cons, maximize=True, free_variables=(2,))
     assert sol.objective == 1
     assert sol.variables == (F(1), F(0), F(1))
-
-
-def test_identity_game_value():
-    value, mu, w = matrix_game_value([[1, 0], [0, 1]])
-    assert value == F(1, 2)
-    assert mu == (F(1, 2), F(1, 2))
-    assert w == (F(1, 2), F(1, 2))
 
 
 def test_kappa_lp_all_pairs_of_four():
@@ -128,9 +121,3 @@ def test_redundant_equality_rows_are_dropped():
     scaled = [constraint([1, 1], EQ, 1), constraint([2, 2], EQ, 2)]
     assert exact_lp_solve([5, 1], scaled).objective == 1
 
-
-def test_matching_pennies_game():
-    value, mu, w = matrix_game_value([[1, -1], [-1, 1]])
-    assert value == 0
-    assert mu == (F(1, 2), F(1, 2))
-    assert w == (F(1, 2), F(1, 2))
