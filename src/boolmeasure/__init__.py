@@ -41,8 +41,6 @@ from .errors import (
     HallViolationError,
     InputError,
     InternalError,
-    LPInfeasibleError,
-    LPUnboundedError,
     SizeError,
 )
 from .expanders import (
@@ -84,6 +82,6 @@ from .measures import (
     measure_eval,
     measure_from_collection,
 )
-from .simplex import LPConstraint, LPSolution, exact_lp_solve
+from .simplex import LPSolution, exact_lp_solve
 
 __version__ = "0.1.0"

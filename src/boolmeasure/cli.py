@@ -313,7 +313,12 @@ def _cmd_antichain(args) -> int:
     digest = _digest(args.input)
     inst = load_instance(args.input)
     frag, notes = _frag_from_instance(inst)
-    report = max_antichain(frag, args.level)
+    try:
+        report = max_antichain(frag, args.level)
+    except ContractError as exc:
+        witnesses = _violation_witness(exc)
+        _emit(_report("antichain", digest, "fails", started, witnesses=witnesses, notes=notes))
+        return 1
     values = {
         "level": report.level,
         "K": report.size,
@@ -437,9 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="certify level intersection-number bounds")
     p.add_argument("--input", required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--level", type=int, default=None)
-    group.add_argument("--all", action="store_true", help="certify every level (default)")
+    p.add_argument("--level", type=int, default=None,
+                   help="certify only this level (default: every level)")
     p.add_argument("--trace", action="store_true", help="emit a proof trace per level")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_certify)

@@ -56,13 +56,5 @@ class HallViolationError(BoolMeasureError):
         self.deficient = deficient
 
 
-class LPInfeasibleError(BoolMeasureError):
-    """The linear program has no feasible point."""
-
-
-class LPUnboundedError(BoolMeasureError):
-    """The linear program is unbounded in the optimization direction."""
-
-
 class InternalError(BoolMeasureError):
     """An invariant the implementation guarantees was violated; a bug."""

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .algebra import Collection, Element, canonical_key, minimal_elements
 from .errors import InputError, InternalError, SizeError
-from .simplex import LEQ, LPConstraint, exact_lp_solve
+from .simplex import exact_lp_solve
 
 #: Default cap on the number of multisets the brute-force search will visit.
 BRUTEFORCE_BUDGET = 2_000_000
@@ -94,15 +94,7 @@ def intersection_number(collection: Collection) -> GameSolution:
     # members can only raise the value, so both reductions are exact.
     reduced = minimal_elements(members, closed_upward=False)
     atoms_used = sorted({a for e in reduced for a in e.atoms})
-    cons = [
-        LPConstraint(
-            tuple(Fraction((e.mask >> x) & 1) for e in reduced),
-            LEQ,
-            Fraction(1),
-        )
-        for x in atoms_used
-    ]
-    sol = exact_lp_solve([Fraction(1)] * len(reduced), cons, maximize=True)
+    sol = exact_lp_solve([e.mask for e in reduced], atoms_used)
     tau = sol.objective
     if tau <= 0:
         raise InternalError("packing optimum must be positive for a nonempty collection")

@@ -14,7 +14,6 @@ from itertools import combinations
 
 from boolmeasure.algebra import AtomSpace, Element
 from boolmeasure.fragmentation import Fragmentation
-from boolmeasure.simplex import EQ, GEQ, LEQ, LPConstraint
 
 
 def _solve_square(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
@@ -36,36 +35,33 @@ def _solve_square(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fract
 
 def lp_optimum_by_vertex_enumeration(
     objective,
-    constraints: list[LPConstraint],
+    constraints: list[tuple],
     *,
     maximize: bool = False,
-    free_variables=(),
 ) -> Fraction | None:
-    """Optimal value by enumerating all candidate vertices, or None if no
-    vertex is feasible.  Only suitable for small bounded-feasible programs."""
+    """Optimal value over x >= 0 by enumerating all candidate vertices, or
+    None if no vertex is feasible.  Each constraint is a ``(coeffs, relation,
+    rhs)`` tuple with relation ``"<="``, ``">="`` or ``"="``.  Only suitable
+    for small bounded-feasible programs."""
     objective = [Fraction(v) for v in objective]
     n = len(objective)
-    free = set(free_variables)
-    planes: list[tuple[list[Fraction], Fraction]] = []
-    for con in constraints:
-        planes.append(([Fraction(c) for c in con.coeffs], Fraction(con.rhs)))
+    cons = [([Fraction(c) for c in coeffs], rel, Fraction(rhs)) for coeffs, rel, rhs in constraints]
+    planes: list[tuple[list[Fraction], Fraction]] = [(coeffs, rhs) for coeffs, _, rhs in cons]
     for j in range(n):
-        if j not in free:
-            row = [Fraction(0)] * n
-            row[j] = Fraction(1)
-            planes.append((row, Fraction(0)))
+        row = [Fraction(0)] * n
+        row[j] = Fraction(1)
+        planes.append((row, Fraction(0)))
 
     def feasible(x: list[Fraction]) -> bool:
-        for j in range(n):
-            if j not in free and x[j] < 0:
+        if any(v < 0 for v in x):
+            return False
+        for coeffs, rel, rhs in cons:
+            lhs = sum((c * v for c, v in zip(coeffs, x)), Fraction(0))
+            if rel == "<=" and lhs > rhs:
                 return False
-        for con in constraints:
-            lhs = sum((c * v for c, v in zip(con.coeffs, x)), Fraction(0))
-            if con.relation == LEQ and lhs > con.rhs:
+            if rel == ">=" and lhs < rhs:
                 return False
-            if con.relation == GEQ and lhs < con.rhs:
-                return False
-            if con.relation == EQ and lhs != con.rhs:
+            if rel == "=" and lhs != rhs:
                 return False
         return True
 

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from boolmeasure import fragmentation, intersection
+from boolmeasure import certify, fragmentation, intersection, measures
 from boolmeasure.algebra import AtomSpace, Collection, enumerate_nonzero
 from boolmeasure.certify import (
     build_signature_partition,
@@ -346,3 +346,14 @@ def test_cli_certify_certifies_once(monkeypatch, tmp_path, capsys):
     assert len(json.loads(capsys.readouterr().out)["levels"]) == depth
     assert lp[0] == depth
     assert scans[0] == 1
+
+
+@pytest.mark.parametrize("atoms", [4, 6])
+def test_certify_fragmentation_checks_each_member_once(monkeypatch, atoms):
+    # m_n(c) >= kappa_n is checked once per member of each level, by the
+    # level certificate; the blend does not check it again
+    frag = from_measure(gen_measure(atoms, 1))
+    in_certify = count_calls(monkeypatch, certify, "measure_eval")
+    in_measures = count_calls(monkeypatch, measures, "measure_eval")
+    certify_fragmentation(frag)
+    assert in_certify[0] + in_measures[0] == sum(len(level) for level in frag.levels)

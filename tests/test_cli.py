@@ -204,6 +204,16 @@ def test_antichain_command(tmp_path):
     assert run_cli(["antichain", "--input", path, "--level", "2"]).returncode == 2
 
 
+def test_antichain_invalid_fragmentation_exits_1_with_witness(tmp_path, capsys):
+    # the only level is empty, so the fragmentation does not cover atom 0
+    path = write(tmp_path, "empty.json", {"atom_count": 1, "fragmentation": {"levels": [[]]}})
+    assert main(["antichain", "--input", path, "--level", "1"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["command"] == "antichain" and report["verdict"] == "fails"
+    violation = report["witnesses"]["fragmentation_violation"]
+    assert violation == {"kind": "covering", "level": 1, "elements": [[0]]}
+
+
 def test_kr_verify_roundtrip(tmp_path):
     gen = run_cli(["gen", "--kind", "expander", "--seed", "4",
                    "--params", "m=20,p=30,k=3", "--out", str(tmp_path / "x.json")])
@@ -358,6 +368,7 @@ _CONTRACT_COMMANDS = [
 @example(instance={"atom_count": 2, "fragmentation": {"levels": [3]}})
 @example(instance={"expander": {"m": "1", "p": 6, "k": 3, "sets": [[0, 1, 2]]}})
 @example(instance={"expander": {"m": 1, "p": 6, "k": 3, "sets": [5]}})
+@example(instance={"atom_count": 1, "fragmentation": {"levels": [[]]}})
 def test_cli_contract_on_random_instances(tmp_path_factory, instance):
     path = tmp_path_factory.getbasetemp() / "contract-instance.json"
     path.write_text(json.dumps(instance), encoding="utf-8")
@@ -368,5 +379,5 @@ def test_cli_contract_on_random_instances(tmp_path_factory, instance):
         case = f"{' '.join(command)} on {instance!r}: exit {code}, stderr {err.getvalue()!r}"
         assert code in (0, 1, 2), case
         assert "internal error" not in err.getvalue(), case
-        if code == 0:
+        if code in (0, 1):  # both promise a JSON report, exit 1 with its witness
             assert json.loads(out.getvalue())["command"] == command[0], case

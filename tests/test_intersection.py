@@ -5,8 +5,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boolmeasure.algebra import AtomSpace, Collection
+from boolmeasure.algebra import AtomSpace, Collection, canonical_key, minimal_elements
 from boolmeasure.errors import InputError, SizeError
+from boolmeasure.fragmentation import from_measure
+from boolmeasure.generators import gen_measure
 from boolmeasure.intersection import (
     intersection_number,
     intersection_number_bruteforce,
@@ -168,3 +170,35 @@ def test_duplicates_and_supersets_do_not_change_kappa():
     assert intersection_number(Collection(sp, base)).value == intersection_number(
         Collection(sp, padded)
     ).value
+
+
+def test_optimal_basis_is_frozen():
+    # These games have many optimal strategy pairs; these are the ones the
+    # simplex's column order and Bland's rule pick, which the reports show.
+    # Entering by smallest index plays {1,2,3} before {3,4,5}, and the
+    # three-way ratio tie on {1,2,3} puts the price on its smallest atom's row.
+    sp = AtomSpace(7)
+    members = (sp.element([1, 2, 3]), sp.element([3, 4, 5]), sp.element([0, 6]))
+    sol = intersection_number(Collection(sp, members))
+    assert sol.value == F(1, 2)
+    assert sol.atom_weights == (F(1, 2), 0, 0, F(1, 2), 0, 0, 0)
+    assert sol.member_weights == (F(1, 2), 0, F(1, 2))
+
+    # all pairs of 5 atoms: Dantzig pricing would mix other pairs
+    sp = AtomSpace(5)
+    sol = intersection_number(Collection(sp, tuple(sp.element(p) for p in combinations(range(5), 2))))
+    assert sol.value == F(2, 5)
+    assert sol.atom_weights == (F(1, 5),) * 5
+    assert sol.member_weights == (0, 0, 0, F(2, 5), F(1, 5), F(1, 5), 0, F(1, 5), 0, 0)
+
+    # level 1 of a near-uniform 8-atom measure: 55 minimal 4-sets, degenerate
+    frag = from_measure(gen_measure(8, 3, max_weight=2))
+    mins = minimal_elements(sorted(frag.level(1), key=canonical_key), closed_upward=True)
+    sol = intersection_number(Collection(frag.space, tuple(mins)))
+    assert len(mins) == 55
+    assert sol.value == F(1, 2)
+    assert sol.atom_weights == (F(1, 6), 0, F(1, 6), F(1, 6), F(1, 6), F(1, 6), 0, F(1, 6))
+    assert [(mins[i].atoms, w) for i, w in enumerate(sol.member_weights) if w] == [
+        ((0, 5, 6, 7), F(1, 2)),
+        ((1, 2, 3, 4), F(1, 2)),
+    ]
