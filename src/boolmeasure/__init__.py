@@ -18,7 +18,6 @@ from .algebra import (
 )
 from .certify import (
     FragmentationCertificate,
-    IntersectionWitness,
     KRParameters,
     LevelCertificate,
     ProofTrace,
@@ -31,7 +30,6 @@ from .certify import (
     minimum_sequence_length,
     replay_proof,
     select_parameters,
-    witness_intersection,
 )
 from .errors import (
     BoolMeasureError,

@@ -154,13 +154,15 @@ def _enumerate_cached(atom_count: int) -> tuple[Element, ...]:
     return tuple(Element(space, m) for m in masks)
 
 
-def enumerate_nonzero(space: AtomSpace, cap: int = ENUMERATION_CAP) -> tuple[Element, ...]:
+def enumerate_nonzero(space: AtomSpace) -> tuple[Element, ...]:
     """All 2^n - 1 nonzero elements in canonical order (size, then lex).
 
-    Refuses when the atom count exceeds ``cap``.
+    Refuses when the atom count exceeds ``ENUMERATION_CAP``.
     """
-    if space.atom_count > cap:
-        raise SizeError(f"enumeration over {space.atom_count} atoms exceeds the cap of {cap}")
+    if space.atom_count > ENUMERATION_CAP:
+        raise SizeError(
+            f"enumeration over {space.atom_count} atoms exceeds the cap of {ENUMERATION_CAP}"
+        )
     return _enumerate_cached(space.atom_count)
 
 

@@ -24,13 +24,7 @@ from typing import Mapping, Sequence
 
 from .algebra import Collection, Element, canonical_key, enumerate_nonzero, minimal_elements
 from .errors import CertificationError, ContractError, InputError, InternalError
-from .expanders import (
-    RETRY_CAP,
-    VERIFY_BUDGET,
-    ExpanderFamily,
-    build_expander,
-    choice_function,
-)
+from .expanders import ExpanderFamily, build_expander, choice_function
 from .fragmentation import (
     AntichainReport,
     Fragmentation,
@@ -38,8 +32,14 @@ from .fragmentation import (
     require_valid,
     search_disjoint_family,
 )
-from .intersection import GameSolution, intersection_number, kappa_of_sequence
-from .measures import Measure, check_measure_axioms, combine_measures, measure_eval
+from .intersection import GameSolution, SequenceScore, intersection_number, kappa_of_sequence
+from .measures import (
+    Measure,
+    check_measure_axioms,
+    combine_measures,
+    measure_eval,
+    require_axiom_checkable,
+)
 
 #: Sequences must be at least this factor times K^2 long for the replay.
 MIN_SEQUENCE_FACTOR = 100
@@ -92,27 +92,6 @@ def select_parameters(K: int, m: int, *, level: int | None = None) -> KRParamete
     if (k + 1) * d < m:
         raise InternalError("k is not maximal")
     return KRParameters(K=K, m=m, k=k, p=p, level=level)
-
-
-@dataclass(frozen=True)
-class IntersectionWitness:
-    """A deepest atom with the indices of all members containing it."""
-
-    indices: tuple[int, ...]
-    atom: int
-    ratio: Fraction
-    meets_bound: bool
-
-
-def witness_intersection(sequence: Sequence[Element], bound: Fraction) -> IntersectionWitness:
-    """Deepest atom x, J = {i : x in c_i}, and whether |J|/m >= bound."""
-    score = kappa_of_sequence(sequence)
-    return IntersectionWitness(
-        indices=score.witness_indices,
-        atom=score.witness_atom,
-        ratio=score.kappa_s,
-        meets_bound=score.kappa_s >= bound,
-    )
 
 
 @dataclass(frozen=True)
@@ -172,7 +151,7 @@ class TraceVerdict:
     """
 
     kind: str
-    witness: IntersectionWitness | None = None
+    witness: SequenceScore | None = None
     index: int | None = None
     failing_step: str | None = None
     level: int | None = None
@@ -213,8 +192,6 @@ def replay_proof(
     seed: int,
     *,
     trust_fragmentation: bool = False,
-    retry_cap: int = RETRY_CAP,
-    verify_budget: int = VERIFY_BUDGET,
 ) -> ProofTrace:
     """Replay the bound's argument on one explicit sequence from level n.
 
@@ -250,15 +227,14 @@ def replay_proof(
             f"sequence length {m} is below 100*K^2 = {minimum_sequence_length(K)} for K = {K}"
         )
     params = select_parameters(K, m, level=n)
-    bound = intersection_bound(K)
-    wit = witness_intersection(seq, bound)
+    score = kappa_of_sequence(seq)  # a deepest atom x and J = {i : x in c_i}
     partition = build_signature_partition(seq)
-    if wit.meets_bound:
-        return ProofTrace(params, partition, None, None, TraceVerdict("witness", witness=wit), tuple(notes))
+    if score.ratio >= intersection_bound(K):
+        return ProofTrace(params, partition, None, None, TraceVerdict("witness", witness=score), tuple(notes))
 
     # No index set of ratio >= 1/(30K^2) has a common atom, so every occurring
     # signature has size <= k.  Build the expander route and check each step.
-    family = build_expander(m, params.p, params.k, seed, retry_cap=retry_cap, verify_budget=verify_budget)
+    family = build_expander(m, params.p, params.k, seed)
     a_masks: dict[tuple[int, int], int] = {}
     for sig in sorted((s for s in partition.cells if s), key=sorted):
         if len(sig) > params.k:
@@ -478,9 +454,10 @@ def certify_fragmentation(frag: Fragmentation) -> FragmentationCertificate:
     Each level's LP is solved once and also bounds the antichain search of
     the level two below.  The per-level dual measures are blended with
     weights 2^-n and the resulting measure's axioms are re-checked
-    exhaustively.
+    exhaustively; a space too wide for that check is refused before any LP.
     """
     require_valid(frag, graded=True)
+    require_axiom_checkable(frag.space)
     analysis = _LevelAnalysis(frag)
     certs = tuple(analysis.certify(n) for n in range(1, frag.depth + 1))
     pairs = [

@@ -18,7 +18,7 @@ class InputError(BoolMeasureError):
 
 class SizeError(InputError):
     """An exhaustive operation refused to run because the instance exceeds
-    its configured enumeration cap or combinatorial budget."""
+    its enumeration cap or combinatorial budget."""
 
 
 class ContractError(BoolMeasureError):

@@ -18,10 +18,10 @@ from typing import Iterable, Mapping
 
 from .errors import ConstructionError, HallViolationError, InputError, SizeError
 
-#: Default retry cap for the randomized construction.
+#: Retry cap for the randomized construction.
 RETRY_CAP = 1000
 
-#: Default cap on the number of index sets verify_expansion will enumerate.
+#: Cap on the number of index sets verify_expansion will enumerate.
 VERIFY_BUDGET = 2_000_000
 
 
@@ -82,7 +82,7 @@ def check_preconditions(m: int, p: int, k: int) -> bool:
     return 3 <= k <= p and p * p >= 15 * m * k
 
 
-def verify_expansion(family: ExpanderFamily, *, budget: int = VERIFY_BUDGET) -> ExpansionReport:
+def verify_expansion(family: ExpanderFamily) -> ExpansionReport:
     """Exhaustively check |union over I| > |I| for every I with 1 <= |I| <= k.
 
     Index sets are visited by size, then lexicographically, so the reported
@@ -90,8 +90,8 @@ def verify_expansion(family: ExpanderFamily, *, budget: int = VERIFY_BUDGET) -> 
     """
     m, k = family.m_size, min(family.k, family.m_size)
     total = sum(comb(m, j) for j in range(1, k + 1))
-    if total > budget:
-        raise SizeError(f"{total} index sets exceed the verification budget of {budget}")
+    if total > VERIFY_BUDGET:
+        raise SizeError(f"{total} index sets exceed the verification budget of {VERIFY_BUDGET}")
     masks = family.masks()
     checked = 0
     for j in range(1, k + 1):
@@ -105,15 +105,7 @@ def verify_expansion(family: ExpanderFamily, *, budget: int = VERIFY_BUDGET) -> 
     return ExpansionReport(True, None, checked)
 
 
-def build_expander(
-    m: int,
-    p: int,
-    k: int,
-    seed: int,
-    *,
-    retry_cap: int = RETRY_CAP,
-    verify_budget: int = VERIFY_BUDGET,
-) -> ExpanderFamily:
+def build_expander(m: int, p: int, k: int, seed: int) -> ExpanderFamily:
     """Sample random 3-subsets until exhaustive verification succeeds.
 
     Deterministic in ``seed``; raises :class:`ConstructionError` with the
@@ -125,14 +117,14 @@ def build_expander(
             "(need 3 <= k <= p and p*p >= 15*m*k)"
         )
     rng = random.Random(seed)
-    for attempt in range(1, retry_cap + 1):
+    for _ in range(RETRY_CAP):
         sets = tuple(tuple(sorted(rng.sample(range(p), 3))) for _ in range(m))
         family = ExpanderFamily(m, p, k, sets)
-        if verify_expansion(family, budget=verify_budget).ok:
+        if verify_expansion(family).ok:
             return family
     raise ConstructionError(
-        f"no verified family within {retry_cap} attempts at (m={m}, p={p}, k={k})",
-        attempts=retry_cap,
+        f"no verified family within {RETRY_CAP} attempts at (m={m}, p={p}, k={k})",
+        attempts=RETRY_CAP,
     )
 
 

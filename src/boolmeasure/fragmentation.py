@@ -162,19 +162,16 @@ def _refuse(violation: FragmentationViolation | GradedWitness | None) -> None:
         )
 
 
-def check_fragmentation(frag: Fragmentation, *, cap: int = ENUMERATION_CAP) -> FragmentationReport:
+def check_fragmentation(frag: Fragmentation) -> FragmentationReport:
     """Exhaustively verify nestedness, upward closure, and covering."""
-    if frag.space.atom_count > cap:
-        raise SizeError(
-            f"fragmentation check over {frag.space.atom_count} atoms exceeds the cap of {cap}"
-        )
+    elements = enumerate_nonzero(frag.space)  # refuses over the cap before any scan
     violation = _nested_upward_violation(frag, _mask_sets(frag))
     if violation is not None:
         return FragmentationReport(False, violation)
     covered = set()
     for lv in frag.levels:
         covered.update(e.mask for e in lv)
-    for e in enumerate_nonzero(frag.space, cap):
+    for e in elements:
         if e.mask not in covered:
             return FragmentationReport(False, FragmentationViolation("covering", frag.depth, (e,)))
     return FragmentationReport(True, None)
@@ -252,11 +249,7 @@ def check_graded(frag: Fragmentation) -> GradedReport:
 
 
 def max_disjoint_family(
-    members: Iterable[Element],
-    space: AtomSpace,
-    *,
-    assume_upward_closed: bool = False,
-    node_budget: int = ANTICHAIN_NODE_BUDGET,
+    members: Iterable[Element], space: AtomSpace, *, assume_upward_closed: bool = False
 ) -> tuple[int, tuple[Element, ...]]:
     """Exact maximum pairwise-disjoint subfamily by branch and bound.
 
@@ -272,15 +265,11 @@ def max_disjoint_family(
     bound = len(cands)
     if space.atom_count <= ENUMERATION_CAP:  # keeps the LP off very wide atom spaces
         bound = math.floor(1 / intersection_number(Collection(space, tuple(cands))).value)
-    return search_disjoint_family(cands, space, bound, node_budget=node_budget)
+    return search_disjoint_family(cands, space, bound)
 
 
 def search_disjoint_family(
-    cands: Sequence[Element],
-    space: AtomSpace,
-    bound: int,
-    *,
-    node_budget: int = ANTICHAIN_NODE_BUDGET,
+    cands: Sequence[Element], space: AtomSpace, bound: int
 ) -> tuple[int, tuple[Element, ...]]:
     """Largest pairwise-disjoint subfamily of ``cands``, by branch and bound.
 
@@ -303,8 +292,10 @@ def search_disjoint_family(
         while stack:
             i, used, chosen = stack.pop()
             nodes += 1
-            if nodes > node_budget:
-                raise SizeError(f"antichain search exceeded the node budget of {node_budget}")
+            if nodes > ANTICHAIN_NODE_BUDGET:
+                raise SizeError(
+                    f"antichain search exceeded the node budget of {ANTICHAIN_NODE_BUDGET}"
+                )
             if len(chosen) > len(best):
                 best = chosen
                 if len(best) >= ub:
@@ -324,20 +315,11 @@ def search_disjoint_family(
     return len(witness), witness
 
 
-def max_antichain(
-    frag: Fragmentation,
-    n: int,
-    *,
-    validate: bool = True,
-    node_budget: int = ANTICHAIN_NODE_BUDGET,
-) -> AntichainReport:
+def max_antichain(frag: Fragmentation, n: int, *, validate: bool = True) -> AntichainReport:
     """Exact maximal-antichain constant K_n of level n, with a witness."""
     if validate:
         require_valid(frag, graded=False)
-    level = frag.level(n)
-    size, witness = max_disjoint_family(
-        level, frag.space, assume_upward_closed=True, node_budget=node_budget
-    )
+    size, witness = max_disjoint_family(frag.level(n), frag.space, assume_upward_closed=True)
     return AntichainReport(n, size, witness)
 
 
@@ -354,29 +336,29 @@ def _threshold_levels(
     return Fragmentation(space, tuple(levels))
 
 
-def from_measure(m: Measure, *, cap: int = ENUMERATION_CAP) -> Fragmentation:
+def from_measure(m: Measure) -> Fragmentation:
     """Threshold fragmentation of a strictly positive measure at 1/2^n.
 
     The number of levels is minimal with the last level equal to all of B+.
     """
     if not m.strictly_positive:
         raise InputError("threshold fragmentation needs a strictly positive measure")
-    elements = enumerate_nonzero(m.space, cap)  # refuses before the 2^n table is built
+    elements = enumerate_nonzero(m.space)  # refuses before the 2^n table is built
     sums = subset_sums(m.atom_weights)
     return _threshold_levels(m.space, lambda mask: sums[mask], min(m.atom_weights), elements)
 
 
-def check_submeasure(phi: Submeasure, *, cap: int = ENUMERATION_CAP) -> None:
+def check_submeasure(phi: Submeasure) -> list[Fraction]:
     """Validate the submeasure table exhaustively; raises InputError.
 
     Monotonicity is checked on one-atom extensions and subadditivity on
-    disjoint pairs, which imply both properties in general.
+    disjoint pairs, which imply both properties in general.  Returns the
+    validated values indexed by mask.
     """
     space = phi.space
-    if space.atom_count > cap:
-        raise SizeError(f"submeasure check over {space.atom_count} atoms exceeds the cap of {cap}")
+    elements = enumerate_nonzero(space)  # refuses over the cap before the table is built
     vals = [Fraction(0)] * (space.unit_mask + 1)
-    for e in enumerate_nonzero(space, cap):
+    for e in elements:
         v = phi.values.get(e)
         if v is None:
             raise InputError(f"submeasure table misses element {e.atoms}")
@@ -406,28 +388,22 @@ def check_submeasure(phi: Submeasure, *, cap: int = ENUMERATION_CAP) -> None:
                     f"submeasure is not subadditive on disjoint masks {mask:b}, {b:b}"
                 )
             b = (b - 1) & rest
-    return None
+    return vals
 
 
-def from_submeasure(phi: Submeasure, *, cap: int = ENUMERATION_CAP) -> Fragmentation:
+def from_submeasure(phi: Submeasure) -> Fragmentation:
     """Threshold fragmentation of a valid submeasure at 1/2^n.
 
     Gradedness of the result is exactly subadditivity made executable: if
     phi(a | b) >= 1/2^n then one of phi(a), phi(b) is >= 1/2^(n+1).
     """
-    check_submeasure(phi, cap=cap)
+    vals = check_submeasure(phi)
     space = phi.space
-    elements = enumerate_nonzero(space, cap)
-    vals = [Fraction(0)] * (space.unit_mask + 1)
-    for e in elements:
-        vals[e.mask] = Fraction(phi.values[e])
     minimum = min(vals[1 << x] for x in range(space.atom_count))
-    return _threshold_levels(space, lambda mask: vals[mask], minimum, elements)
+    return _threshold_levels(space, lambda mask: vals[mask], minimum, enumerate_nonzero(space))
 
 
-def extract_graded_subfragmentation(
-    frag: Fragmentation, *, cap: int = ENUMERATION_CAP
-) -> Fragmentation:
+def extract_graded_subfragmentation(frag: Fragmentation) -> Fragmentation:
     """Greedy graded subfragmentation.
 
     Starting from the first level, repeatedly jump to the least later level
@@ -437,7 +413,7 @@ def extract_graded_subfragmentation(
     """
     _refuse(_nested_upward_violation(frag, _mask_sets(frag)))
     levels = list(frag.levels)
-    full = frozenset(enumerate_nonzero(frag.space, cap))
+    full = frozenset(enumerate_nonzero(frag.space))
     if levels[-1] != full:
         levels.append(full)
     masks = [frozenset(e.mask for e in lv) for lv in levels]

@@ -23,19 +23,20 @@ from .algebra import Collection, Element, canonical_key, minimal_elements
 from .errors import InputError, InternalError, SizeError
 from .simplex import exact_lp_solve
 
-#: Default cap on the number of multisets the brute-force search will visit.
+#: Cap on the number of multisets the brute-force search will visit.
 BRUTEFORCE_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
 class SequenceScore:
-    """The score k/n of one explicit sequence, with its witness."""
+    """The score k/n of one explicit sequence: a deepest atom with the indices
+    of all members containing it."""
 
     depth: int
     length: int
-    kappa_s: Fraction
-    witness_atom: int
-    witness_indices: tuple[int, ...]
+    ratio: Fraction
+    atom: int
+    indices: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -131,9 +132,7 @@ def _check_game_solution(members, space, kappa, atom_weights, member_weights) ->
         raise InternalError("member-side optimum does not achieve the game value")
 
 
-def intersection_number_bruteforce(
-    collection: Collection, max_len: int, *, budget: int = BRUTEFORCE_BUDGET
-) -> Fraction:
+def intersection_number_bruteforce(collection: Collection, max_len: int) -> Fraction:
     """Minimum k/n over all multisets from C of size 1..max_len.
 
     The score of a sequence does not depend on its order, so multisets rather
@@ -151,8 +150,8 @@ def intersection_number_bruteforce(
     pool = sorted(distinct.values(), key=canonical_key)
     u = len(pool)
     total = sum(comb(u + length - 1, length) for length in range(1, max_len + 1))
-    if total > budget:
-        raise SizeError(f"{total} multisets exceed the brute-force budget of {budget}")
+    if total > BRUTEFORCE_BUDGET:
+        raise SizeError(f"{total} multisets exceed the brute-force budget of {BRUTEFORCE_BUDGET}")
     atom_lists = [e.atoms for e in pool]
     best: Fraction | None = None
     for length in range(1, max_len + 1):

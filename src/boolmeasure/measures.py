@@ -46,9 +46,6 @@ class Measure:
     def strictly_positive(self) -> bool:
         return all(w > 0 for w in self.atom_weights)
 
-    def of(self, a: Element) -> Fraction:
-        return measure_eval(self, a)
-
 
 def measure_eval(m: Measure, a: Element) -> Fraction:
     """m(a): the sum of the weights of the atoms of ``a``."""
@@ -124,15 +121,21 @@ def subset_sums(weights: Sequence[Fraction]) -> list[Fraction]:
     return sums
 
 
-def check_measure_axioms(m: Measure, *, cap: int = AXIOM_CHECK_CAP) -> None:
+def require_axiom_checkable(space: AtomSpace) -> None:
+    """Refuse, before any work, a space too wide for ``check_measure_axioms``."""
+    if space.atom_count > AXIOM_CHECK_CAP:
+        raise SizeError(
+            f"axiom check over {space.atom_count} atoms exceeds the cap of {AXIOM_CHECK_CAP}"
+        )
+
+
+def check_measure_axioms(m: Measure) -> None:
     """Exhaustively verify normalization, positivity and disjoint additivity.
 
     Positivity here means ``m(a) > 0`` for every nonzero ``a``; raises
     :class:`ContractError` on the first violation found.
     """
-    n = m.space.atom_count
-    if n > cap:
-        raise SizeError(f"axiom check over {n} atoms exceeds the cap of {cap}")
+    require_axiom_checkable(m.space)
     sums = subset_sums(m.atom_weights)
     if sums[0] != 0:
         raise ContractError("m(0) must be 0")

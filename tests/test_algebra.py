@@ -61,8 +61,6 @@ def test_enumerate_small_examples():
 def test_enumerate_cap():
     with pytest.raises(SizeError):
         enumerate_nonzero(AtomSpace(17))
-    with pytest.raises(SizeError):
-        enumerate_nonzero(AtomSpace(5), cap=4)
 
 
 def test_de_morgan_exhaustive_small():

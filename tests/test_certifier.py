@@ -15,13 +15,12 @@ from boolmeasure.certify import (
     minimum_sequence_length,
     replay_proof,
     select_parameters,
-    witness_intersection,
 )
 from boolmeasure.cli import main
-from boolmeasure.errors import CertificationError, ContractError, InputError
+from boolmeasure.errors import CertificationError, ContractError, InputError, SizeError
 from boolmeasure.fragmentation import Fragmentation, from_measure, from_submeasure
 from boolmeasure.generators import gen_measure, gen_submeasure
-from boolmeasure.intersection import intersection_number
+from boolmeasure.intersection import intersection_number, kappa_of_sequence
 from boolmeasure.measures import Measure, check_measure_axioms, measure_eval
 
 
@@ -56,15 +55,16 @@ def test_select_parameters_inequalities(K):
 
 
 def test_witness_intersection_trivia():
+    # the replay's witness is the sequence score: a deepest atom and J
     sp = AtomSpace(3)
     allsame = [sp.unit] * 5
-    wit = witness_intersection(allsame, F(1, 2))
+    wit = kappa_of_sequence(allsame)
     assert wit.indices == (0, 1, 2, 3, 4)
-    assert wit.ratio == 1 and wit.meets_bound
+    assert wit.ratio == 1 >= F(1, 2)
 
     disjoint = [sp.singleton(i) for i in range(3)]
-    wit = witness_intersection(disjoint, F(1, 2))
-    assert len(wit.indices) == 1 and wit.ratio == F(1, 3) and not wit.meets_bound
+    wit = kappa_of_sequence(disjoint)
+    assert len(wit.indices) == 1 and wit.ratio == F(1, 3) < F(1, 2)
 
 
 def test_signature_partition_small_example():
@@ -357,3 +357,20 @@ def test_certify_fragmentation_checks_each_member_once(monkeypatch, atoms):
     in_measures = count_calls(monkeypatch, measures, "measure_eval")
     certify_fragmentation(frag)
     assert in_certify[0] + in_measures[0] == sum(len(level) for level in frag.levels)
+
+
+def test_certify_refuses_over_the_axiom_cap_before_any_lp(monkeypatch, tmp_path, capsys):
+    # the blend's exhaustive axiom check caps a full certify at 12 atoms, and
+    # the refusal comes right after validation, before any level LP
+    def no_lp(*args):
+        raise AssertionError("a level LP ran before the axiom-cap refusal")
+
+    monkeypatch.setattr(intersection, "exact_lp_solve", no_lp)
+    message = "axiom check over 13 atoms exceeds the cap of 12"
+    with pytest.raises(SizeError, match=message):
+        certify_fragmentation(from_measure(gen_measure(13, 1)))
+    path = str(tmp_path / "m.json")
+    assert main(["gen", "--kind", "measure", "--atoms", "13", "--seed", "1", "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["certify", "--input", path]) == 2
+    assert message in capsys.readouterr().err

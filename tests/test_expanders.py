@@ -53,10 +53,15 @@ def test_identical_sets_boundary():
     assert report.violating == (0, 1, 2)  # lexicographically least violator
 
 
-def test_verify_budget_refusal():
+def test_verify_budget_refusal(monkeypatch):
+    import boolmeasure.expanders as ex
+
     fam = ExpanderFamily(3, 9, 3, ((0, 1, 2), (3, 4, 5), (6, 7, 8)))
+    monkeypatch.setattr(ex, "VERIFY_BUDGET", 7)  # 3 + 3 + 1 index sets of size <= 3
+    assert verify_expansion(fam).checked == 7
+    monkeypatch.setattr(ex, "VERIFY_BUDGET", 6)
     with pytest.raises(SizeError):
-        verify_expansion(fam, budget=2)
+        verify_expansion(fam)
 
 
 def test_build_expander_deterministic_and_verified():
@@ -76,11 +81,10 @@ def test_build_expander_rejects_bad_parameters():
 def test_build_expander_retry_exhaustion(monkeypatch):
     import boolmeasure.expanders as ex
 
-    monkeypatch.setattr(
-        ex, "verify_expansion", lambda fam, budget=0, **kw: ex.ExpansionReport(False, (0,), 1)
-    )
+    monkeypatch.setattr(ex, "verify_expansion", lambda fam: ex.ExpansionReport(False, (0,), 1))
+    monkeypatch.setattr(ex, "RETRY_CAP", 5)
     with pytest.raises(ConstructionError) as err:
-        ex.build_expander(20, 30, 3, seed=0, retry_cap=5)
+        ex.build_expander(20, 30, 3, seed=0)
     assert err.value.attempts == 5
 
 

@@ -105,10 +105,21 @@ def test_fragmentation_constructor_rejects_bad_levels():
 
 
 def test_check_fragmentation_cap():
-    sp = AtomSpace(6)
+    sp = AtomSpace(17)
     frag = Fragmentation(sp, (frozenset([sp.unit]),))
     with pytest.raises(SizeError):
-        check_fragmentation(frag, cap=4)
+        check_fragmentation(frag)
+
+
+def test_antichain_node_budget_refusal(monkeypatch):
+    # greedy takes {1,2} and stops at 1, below the LP bound of 2, so the
+    # branch and bound runs; a budget of one node refuses it
+    sp = AtomSpace(6)
+    members = [sp.element([1, 2]), sp.element([0, 1, 5]), sp.element([2, 3, 4])]
+    assert max_disjoint_family(members, sp)[0] == 2
+    monkeypatch.setattr(fragmentation, "ANTICHAIN_NODE_BUDGET", 1)
+    with pytest.raises(SizeError):
+        max_disjoint_family(members, sp)
 
 
 def test_graded_violation_example():

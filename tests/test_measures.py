@@ -24,7 +24,7 @@ def test_measure_eval_examples():
     assert measure_eval(m, sp.element([0, 1])) == F(1, 2)
     assert measure_eval(m, sp.zero) == 0
     assert measure_eval(m, sp.unit) == 1
-    assert m.of(sp.element([2])) == F(1, 4)
+    assert measure_eval(m, sp.element([2])) == F(1, 4)
 
 
 def test_measure_validation():
