@@ -324,15 +324,18 @@ def max_antichain(frag: Fragmentation, n: int, *, validate: bool = True) -> Anti
 
 
 def _threshold_levels(
-    space: AtomSpace, value_of_mask, positive_minimum: Fraction, elements: Sequence[Element]
+    space: AtomSpace, values: Sequence, cut, elements: Sequence[Element]
 ) -> Fragmentation:
+    """Levels C_n = {e : values[e.mask] >= cut(n)}, down to the first level
+    that holds every singleton."""
+    minimum = min(values[1 << x] for x in range(space.atom_count))
     depth = 1
-    while Fraction(1, 2**depth) > positive_minimum:
+    while minimum < cut(depth):
         depth += 1
     levels = []
     for n in range(1, depth + 1):
-        cut = Fraction(1, 2**n)
-        levels.append(frozenset(e for e in elements if value_of_mask(e.mask) >= cut))
+        bar = cut(n)
+        levels.append(frozenset(e for e in elements if values[e.mask] >= bar))
     return Fragmentation(space, tuple(levels))
 
 
@@ -344,8 +347,10 @@ def from_measure(m: Measure) -> Fragmentation:
     if not m.strictly_positive:
         raise InputError("threshold fragmentation needs a strictly positive measure")
     elements = enumerate_nonzero(m.space)  # refuses before the 2^n table is built
-    sums = subset_sums(m.atom_weights)
-    return _threshold_levels(m.space, lambda mask: sums[mask], min(m.atom_weights), elements)
+    # sums[mask] = D * m(mask) is an integer, so m(mask) >= 1/2^n, that is
+    # sums[mask] << n >= D, reads sums[mask] >= ceil(D / 2^n)
+    unit = m.denominator
+    return _threshold_levels(m.space, subset_sums(m.numerators), lambda n: -(-unit >> n), elements)
 
 
 def check_submeasure(phi: Submeasure) -> list[Fraction]:
@@ -398,9 +403,8 @@ def from_submeasure(phi: Submeasure) -> Fragmentation:
     phi(a | b) >= 1/2^n then one of phi(a), phi(b) is >= 1/2^(n+1).
     """
     vals = check_submeasure(phi)
-    space = phi.space
-    minimum = min(vals[1 << x] for x in range(space.atom_count))
-    return _threshold_levels(space, lambda mask: vals[mask], minimum, enumerate_nonzero(space))
+    elements = enumerate_nonzero(phi.space)
+    return _threshold_levels(phi.space, vals, lambda n: Fraction(1, 1 << n), elements)
 
 
 def extract_graded_subfragmentation(frag: Fragmentation) -> Fragmentation:

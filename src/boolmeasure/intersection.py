@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, lcm
 from typing import Sequence
 
 from .algebra import Collection, Element, canonical_key, minimal_elements
@@ -116,20 +116,31 @@ def intersection_number(collection: Collection) -> GameSolution:
 
 
 def _check_game_solution(members, space, kappa, atom_weights, member_weights) -> None:
-    # Exact saddle-point identities; a failure here is a solver bug.
-    if sum(atom_weights) != 1 or sum(member_weights) != 1:
+    # Exact saddle-point identities in integers: each strategy vector is taken
+    # over the least common denominator D of its entries, so its sums are
+    # integers and each is compared with kappa * D.  A failure is a solver bug.
+    prices, price_unit = over_common_denominator(atom_weights)
+    plays, play_unit = over_common_denominator(member_weights)
+    if sum(prices) != price_unit or sum(plays) != play_unit:
         raise InternalError("strategy vectors must sum to one")
-    if any(v < 0 for v in atom_weights) or any(v < 0 for v in member_weights):
+    if any(v < 0 for v in prices) or any(v < 0 for v in plays):
         raise InternalError("strategy vectors must be nonnegative")
-    measures = [sum(atom_weights[a] for a in e.atoms) for e in members]
-    if min(measures) != kappa:
+    if min(sum(prices[a] for a in e.atoms) for e in members) != kappa * price_unit:
         raise InternalError("atom-side optimum does not guarantee the game value")
-    loads = [
-        sum((w for e, w in zip(members, member_weights) if (e.mask >> x) & 1), Fraction(0))
-        for x in range(space.atom_count)
-    ]
-    if max(loads) != kappa:
+    loads = [0] * space.atom_count
+    for e, w in zip(members, plays):
+        if w:
+            for a in e.atoms:
+                loads[a] += w
+    if max(loads) != kappa * play_unit:
         raise InternalError("member-side optimum does not achieve the game value")
+
+
+def over_common_denominator(weights: Sequence[Fraction]) -> tuple[list[int], int]:
+    """``(numerators, D)`` with ``weights[i] == numerators[i] / D`` and D the
+    least common denominator of the weights."""
+    unit = lcm(*(w.denominator for w in weights))
+    return [w.numerator * (unit // w.denominator) for w in weights], unit
 
 
 def intersection_number_bruteforce(collection: Collection, max_len: int) -> Fraction:

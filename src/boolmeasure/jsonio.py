@@ -14,10 +14,16 @@ from fractions import Fraction
 from typing import Any
 
 from .algebra import AtomSpace, Collection, Element, canonical_key
-from .errors import InputError
+from .errors import InputError, SizeError
 from .expanders import ExpanderFamily
 from .fragmentation import Fragmentation, Submeasure
 from .measures import Measure
+
+#: Widest atom space an instance file may declare.  Per-atom reports and
+#: tables grow with it before any cap of an exhaustive operation applies; the
+#: widest legitimate input, the pairwise-intersecting replay fixture on m
+#: members, has C(m, 2) atoms, 7,140 at m = 120.
+ATOM_COUNT_CAP = 10_000
 
 
 def format_rational(value: Fraction) -> str:
@@ -171,6 +177,8 @@ def instance_from_json(data: Any) -> InstanceFile:
         raise InputError('instance file needs an "atom_count"')
     if isinstance(atom_count, bool) or not isinstance(atom_count, int) or atom_count < 1:
         raise InputError(f"atom_count must be a positive integer, got {atom_count!r}")
+    if atom_count > ATOM_COUNT_CAP:
+        raise SizeError(f"atom_count {atom_count} exceeds the cap of {ATOM_COUNT_CAP}")
     space = AtomSpace(atom_count)
     return InstanceFile(
         atom_count=atom_count,

@@ -2,7 +2,10 @@
 
 A measure is a nonnegative rational weight per atom, summing to one;
 ``m(a)`` is the weight of the atoms of ``a``, which makes additivity on
-disjoint elements hold by construction.  ``measure_from_collection`` turns a
+disjoint elements hold by construction.  A ``Measure`` also holds its weights
+as integers over their least common denominator D, so member sums, threshold
+tests and axiom checks compare Python integers and build at most one
+``Fraction`` per reported value.  ``measure_from_collection`` turns a
 positive intersection number into a measure bounding the collection from
 below (Kelley's theorem, realized here as the finite LP dual rather than via
 Hahn-Banach).  ``combine_measures`` merges per-level measures across a
@@ -11,13 +14,14 @@ covering fragmentation into a strictly positive one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import TYPE_CHECKING, Sequence
 
 from .algebra import AtomSpace, Collection, Element, enumerate_nonzero
 from .errors import ContractError, InputError, SizeError
-from .intersection import intersection_number
+from .intersection import intersection_number, over_common_denominator
 
 if TYPE_CHECKING:  # avoid a runtime import cycle with fragmentation
     from .fragmentation import Fragmentation
@@ -28,30 +32,40 @@ AXIOM_CHECK_CAP = 12
 
 @dataclass(frozen=True)
 class Measure:
-    """A normalized, finitely additive set function given by atom weights."""
+    """A normalized, finitely additive set function given by atom weights.
+
+    ``atom_weights[x] == Fraction(numerators[x], denominator)``, where
+    ``denominator`` is the least common denominator D of the weights.
+    """
 
     space: AtomSpace
     atom_weights: tuple[Fraction, ...]
+    numerators: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "atom_weights", tuple(Fraction(w) for w in self.atom_weights))
-        if len(self.atom_weights) != self.space.atom_count:
+        weights = tuple(Fraction(w) for w in self.atom_weights)
+        if len(weights) != self.space.atom_count:
             raise InputError("one weight per atom is required")
-        if any(w < 0 for w in self.atom_weights):
+        numerators, denominator = over_common_denominator(weights)
+        if any(v < 0 for v in numerators):
             raise InputError("atom weights must be nonnegative")
-        if sum(self.atom_weights) != 1:
+        if sum(numerators) != denominator:
             raise InputError("atom weights must sum to exactly 1")
+        object.__setattr__(self, "atom_weights", weights)
+        object.__setattr__(self, "numerators", tuple(numerators))
+        object.__setattr__(self, "denominator", denominator)
 
     @property
     def strictly_positive(self) -> bool:
-        return all(w > 0 for w in self.atom_weights)
+        return all(v > 0 for v in self.numerators)
 
 
 def measure_eval(m: Measure, a: Element) -> Fraction:
     """m(a): the sum of the weights of the atoms of ``a``."""
     if a.space != m.space:
         raise InputError("element belongs to a different atom space than the measure")
-    return sum((m.atom_weights[x] for x in a.atoms), Fraction(0))
+    return Fraction(sum(m.numerators[x] for x in a.atoms), m.denominator)
 
 
 def measure_from_collection(collection: Collection) -> tuple[Measure, Fraction]:
@@ -99,22 +113,28 @@ def combine_measures(
                     f"level {n} measure gives {measure_eval(m_n, c)} < {kappa_n} "
                     f"on member with atoms {c.atoms}"
                 )
-    total = sum((Fraction(1, 2**n) for n in range(1, len(levels) + 1)), Fraction(0))
+    # sum_n 2^-n m_n(x) / sum_n 2^-n, in integers over the common denominator
+    # (2^N - 1) * lcm(D_n) of N levels
+    depth = len(levels)
+    common = lcm(*(m_n.denominator for m_n, _ in levels))
+    scales = [(common // m_n.denominator) << (depth - n) for n, (m_n, _) in enumerate(levels, 1)]
+    total = common * ((1 << depth) - 1)
     weights = [
-        sum(
-            (Fraction(1, 2**n) * m_n.atom_weights[x] for n, (m_n, _) in enumerate(levels, 1)),
-            Fraction(0),
-        )
-        / total
+        Fraction(sum(s * m_n.numerators[x] for s, (m_n, _) in zip(scales, levels)), total)
         for x in range(space.atom_count)
     ]
     return Measure(space, tuple(weights))
 
 
-def subset_sums(weights: Sequence[Fraction]) -> list[Fraction]:
-    """Value of the induced measure on every mask, by subset DP."""
+def subset_sums(weights: Sequence[int]) -> list[int]:
+    """Sum of ``weights`` over the atoms of every mask, by subset DP.
+
+    Given a measure's ``numerators`` it gives D times the measure of every
+    mask in integers; any other numbers, ``Fraction`` weights included, add
+    the same way.
+    """
     n = len(weights)
-    sums = [Fraction(0)] * (1 << n)
+    sums = [0] * (1 << n)
     for mask in range(1, 1 << n):
         low = mask & -mask
         sums[mask] = sums[mask ^ low] + weights[low.bit_length() - 1]
@@ -136,10 +156,10 @@ def check_measure_axioms(m: Measure) -> None:
     :class:`ContractError` on the first violation found.
     """
     require_axiom_checkable(m.space)
-    sums = subset_sums(m.atom_weights)
+    sums = subset_sums(m.numerators)  # D * m(mask), in integers
     if sums[0] != 0:
         raise ContractError("m(0) must be 0")
-    if sums[m.space.unit_mask] != 1:
+    if sums[m.space.unit_mask] != m.denominator:
         raise ContractError("m(1) must be 1")
     for e in enumerate_nonzero(m.space):
         if sums[e.mask] <= 0:

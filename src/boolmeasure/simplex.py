@@ -9,10 +9,14 @@ per member (an atom bitmask), one row per atom, and
 It is feasible at y = 0, so the slack basis is a feasible start and no
 phase 1 is needed, and it is bounded because every column meets a row.
 
-Every coefficient is a ``fractions.Fraction``; no floating point enters any
-computation.  Pivoting uses Bland's smallest-index rule, which rules out
-cycling and guarantees termination.  Problem sizes here are desk scale, so a
-dense tableau plus the anti-cycling rule is the right trade.
+The tableau is fraction-free (Edmonds 1967; Bareiss 1968): every entry is a
+Python integer over one common denominator, the determinant of the current
+basis, which starts at 1 and stays positive because every pivot entry is.
+Each pivot divides exactly, so no ``Fraction`` and no floating point enters
+the pivot loop, and a ``Fraction`` is built only for each returned value.
+Pivoting uses Bland's smallest-index rule, which rules out cycling and
+guarantees termination.  Problem sizes here are desk scale, so a dense
+tableau plus the anti-cycling rule is the right trade.
 
 The solver returns an optimal basic solution together with exact dual values,
 one per row: the final reduced costs of the slack columns.  Every right-hand
@@ -28,7 +32,6 @@ from typing import Sequence
 from .errors import InternalError
 
 _MAX_PIVOTS_BASE = 20_000
-_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -48,53 +51,67 @@ def exact_lp_solve(columns: Sequence[int], rows: Sequence[int]) -> LPSolution:
     n, m = len(columns), len(rows)
     width = n + m
     # One row per atom: the 0/1 incidence columns, the slack identity, and
-    # the right-hand side one.  The slacks form the starting basis.
+    # the right-hand side one.  The slacks form the starting basis.  Every
+    # entry is an integer over the common denominator det.
     tableau = [
-        [_ONE if (mask >> x) & 1 else _ZERO for mask in columns]
-        + [_ONE if r == i else _ZERO for r in range(m)]
-        + [_ONE]
+        [(mask >> x) & 1 for mask in columns] + [int(r == i) for r in range(m)] + [1]
         for i, x in enumerate(rows)
     ]
     basis = list(range(n, width))
-    # Reduced costs of the maximization; a negative entry may enter, and the
-    # last entry is the objective value of the current basis.
-    cost = [-_ONE] * n + [_ZERO] * (m + 1)
+    # Reduced costs of the maximization, over det as well; a negative entry
+    # may enter, and the last entry is the objective value of the basis.
+    cost = [-1] * n + [0] * (m + 1)
+    det = 1  # determinant of the basis; positive, since every pivot is
 
     max_pivots = _MAX_PIVOTS_BASE + 50 * (m + width)
     for _ in range(max_pivots + 1):  # the budget fails on pivot max_pivots + 1
         enter = next((j for j in range(width) if cost[j] < 0), -1)  # Bland
         if enter < 0:
             break
-        leave = -1
-        best: Fraction | None = None
+        # Ratio test rhs/coef over the positive coefficients, cross-multiplied;
+        # ties go to the smallest basic index (Bland).
+        leave, best_rhs, best_coef = -1, 0, 1
         for r, row in enumerate(tableau):
             coef = row[enter]
             if coef > 0:
-                ratio = row[-1] / coef
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    best, leave = ratio, r
+                lhs, rhs = row[-1] * best_coef, best_rhs * coef
+                if leave < 0 or lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                    leave, best_rhs, best_coef = r, row[-1], coef
         if leave < 0:
             raise InternalError(f"packing column {enter} meets no row, so the LP is unbounded")
-        piv = tableau[leave][enter]
-        prow = tableau[leave] = [v / piv for v in tableau[leave]]
-        support = [(j, v) for j, v in enumerate(prow) if v]
+        # Integer-preserving pivot (Edmonds 1967, Bareiss 1968): the pivot
+        # row stays, every other row r becomes (r*piv - r[enter]*prow) / det,
+        # which divides exactly, and the pivot becomes the new denominator.
+        prow = tableau[leave]
+        piv = prow[enter]
         for r, row in enumerate(tableau):
-            f = row[enter]
-            if r != leave and f != 0:
-                for j, v in support:
-                    row[j] -= f * v
-        f = cost[enter]
-        for j, v in support:
-            cost[j] -= f * v
+            if r != leave:
+                tableau[r] = _eliminate(row, prow, piv, det, enter)
+        cost = _eliminate(cost, prow, piv, det, enter)
+        det = piv
         basis[leave] = enter
     else:
         raise InternalError("pivot budget exceeded; anti-cycling rule violated?")
 
-    variables = [_ZERO] * n
+    duals = cost[n:width]
+    if sum(duals) != cost[-1]:
+        raise InternalError("dual values do not reproduce the optimal objective")
+    variables = [0] * n
     for r, b in enumerate(basis):
         if b < n:
             variables[b] = tableau[r][-1]
-    duals = cost[n:width]
-    if sum(duals, _ZERO) != cost[-1]:
-        raise InternalError("dual values do not reproduce the optimal objective")
-    return LPSolution(cost[-1], tuple(variables), tuple(duals))
+    return LPSolution(
+        Fraction(cost[-1], det),
+        tuple(Fraction(v, det) for v in variables),
+        tuple(Fraction(d, det) for d in duals),
+    )
+
+
+def _eliminate(row: list[int], prow: list[int], piv: int, det: int, enter: int) -> list[int]:
+    """``row`` after the pivot on ``prow[enter]``, over the new denominator ``piv``."""
+    f = row[enter]
+    if f == 0:
+        if piv == det:
+            return row
+        return [v * piv // det for v in row]
+    return [(v * piv - f * p) // det for v, p in zip(row, prow)]

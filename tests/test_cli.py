@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -112,6 +113,20 @@ def test_kappa_input_errors_exit_2(tmp_path):
     assert run_cli(["kappa", "--input", str(tmp_path / "absent.json")]).returncode == 2
     empty = write(tmp_path, "e.json", {"atom_count": 2, "collection": []})
     assert run_cli(["kappa", "--input", empty]).returncode == 2
+
+
+def test_oversized_atom_count_exits_2_at_once(tmp_path, capsys):
+    # a 50-byte file must not make the per-atom reports millions of entries long
+    path = write(tmp_path, "wide.json", {"atom_count": 3000000, "collection": [[0], [1]]})
+    for command in ("kappa", "measure"):
+        start = time.perf_counter()
+        code = main([command, "--input", path])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "atom_count 3000000 exceeds the cap" in captured.err
+        assert captured.out == ""
+        assert elapsed < 1.0
 
 
 def test_measure_command(tmp_path):

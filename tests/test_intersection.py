@@ -1,12 +1,15 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from boolmeasure.algebra import AtomSpace, Collection, canonical_key, minimal_elements
-from boolmeasure.errors import InputError, SizeError
+from boolmeasure import intersection
+from boolmeasure.errors import InputError, InternalError, SizeError
 from boolmeasure.fragmentation import from_measure
 from boolmeasure.generators import gen_measure
 from boolmeasure.intersection import (
@@ -202,3 +205,70 @@ def test_optimal_basis_is_frozen():
         ((0, 5, 6, 7), F(1, 2)),
         ((1, 2, 3, 4), F(1, 2)),
     ]
+
+
+def test_fourteen_atom_level_one_lp():
+    # near-uniform weights make level 1 of 14 atoms wide and degenerate
+    frag = from_measure(gen_measure(14, 1, max_weight=2))
+    mins = minimal_elements(sorted(frag.level(1), key=canonical_key), closed_upward=True)
+    sol = intersection_number(Collection(frag.space, tuple(mins)))
+    assert len(mins) == 2135
+    assert sol.value == F(11, 21)
+
+
+def _level_game(atoms, seed, max_weight, n) -> Collection:
+    """Minimal members of level n of a generated measure's fragmentation."""
+    frag = from_measure(gen_measure(atoms, seed, max_weight=max_weight))
+    mins = minimal_elements(sorted(frag.level(n), key=canonical_key), closed_upward=True)
+    return Collection(frag.space, tuple(mins))
+
+
+def _solve_then(monkeypatch, alter) -> None:
+    solve = intersection.exact_lp_solve
+    monkeypatch.setattr(intersection, "exact_lp_solve", lambda cols, rows: alter(solve(cols, rows)))
+
+
+@pytest.mark.parametrize("game", [(9, 4, 7, 2), (10, 1, 32, 2)])
+@pytest.mark.parametrize("shift", [1, 2, 3])
+def test_saddle_point_check_catches_permuted_duals(monkeypatch, game, shift):
+    # the prices still sum to one, so only the integer min check can see it
+    coll = _level_game(*game)
+    sol = intersection_number(coll)
+    rotated = sol.atom_weights[shift:] + sol.atom_weights[:shift]
+    assert min(sum(rotated[a] for a in c.atoms) for c in coll.members) < sol.value
+
+    def rotate(s):
+        return dataclasses.replace(s, duals=s.duals[shift:] + s.duals[:shift])
+
+    _solve_then(monkeypatch, rotate)
+    with pytest.raises(InternalError, match="atom-side optimum"):
+        intersection_number(coll)
+
+
+@pytest.mark.parametrize("game", [(9, 4, 7, 2), (9, 1, 32, 2)])
+@pytest.mark.parametrize("move", ["up", "down", "across"])
+def test_saddle_point_check_catches_primal_moved_by_one_unit(monkeypatch, game, move):
+    # one primal value moves by 1/D, D the least common denominator of the
+    # primal; "across" moves 1/D between two played members, keeping the sum
+    coll = _level_game(*game)
+
+    def shift(sol):
+        unit = F(1, lcm(*(y.denominator for y in sol.variables)))
+        assert unit < 1
+        played = [j for j, y in enumerate(sol.variables) if y]
+        moved = list(sol.variables)
+        if move in ("up", "across"):
+            moved[played[-1]] += unit
+        if move in ("down", "across"):
+            moved[played[0]] -= unit
+        if move == "across":  # some atom is now overloaded
+            columns = [e.mask for e in coll.members]
+            assert any(
+                sum(y for mask, y in zip(columns, moved) if (mask >> x) & 1) > 1
+                for x in range(coll.space.atom_count)
+            )
+        return dataclasses.replace(sol, variables=tuple(moved))
+
+    _solve_then(monkeypatch, shift)
+    with pytest.raises(InternalError):
+        intersection_number(coll)

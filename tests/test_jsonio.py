@@ -1,10 +1,11 @@
 import json
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
 from boolmeasure.algebra import AtomSpace
-from boolmeasure.errors import InputError
+from boolmeasure.errors import InputError, SizeError
 from boolmeasure.generators import (
     gen_collection,
     gen_expander,
@@ -13,6 +14,7 @@ from boolmeasure.generators import (
     gen_submeasure,
 )
 from boolmeasure.jsonio import (
+    ATOM_COUNT_CAP,
     InstanceFile,
     dumps_instance,
     element_from_json,
@@ -80,6 +82,23 @@ def test_instance_requires_atom_count():
         {"expander": {"m": 1, "p": 9, "k": 3, "sets": [[0, 1, 2]]}}
     )
     assert inst.atom_count == 9
+
+
+def test_atom_count_cap_admits_the_replay_fixture():
+    # the pairwise-intersecting replay fixture on m = 120 members has one
+    # atom per pair of members: 7,140 atoms
+    m = 120
+    atom_of = {pair: x for x, pair in enumerate(combinations(range(m), 2))}
+    level = [sorted(atom_of[min(i, o), max(i, o)] for o in range(m) if o != i) for i in range(m)]
+    data = {"atom_count": len(atom_of), "fragmentation": {"levels": [level] * 3}}
+    inst = instance_from_json(data)
+    assert inst.atom_count == 7140 <= ATOM_COUNT_CAP
+    assert len(inst.fragmentation.level(1)) == m
+    with pytest.raises(SizeError, match=f"exceeds the cap of {ATOM_COUNT_CAP}"):
+        instance_from_json({"atom_count": ATOM_COUNT_CAP + 1, "collection": [[0], [1]]})
+    with pytest.raises(SizeError):
+        wide = {"m": 1, "p": ATOM_COUNT_CAP + 1, "k": 3, "sets": [[0, 1, 2]]}
+        instance_from_json({"expander": wide})
 
 
 def test_malformed_sections():

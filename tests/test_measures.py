@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from boolmeasure.algebra import AtomSpace, Collection, enumerate_nonzero
 from boolmeasure.errors import ContractError, InputError, SizeError
 from boolmeasure.fragmentation import Fragmentation, from_measure
+from boolmeasure.generators import gen_measure
 from boolmeasure.measures import (
     Measure,
     check_measure_axioms,
@@ -37,6 +39,24 @@ def test_measure_validation():
         Measure(sp, (F(-1, 2), F(3, 2)))
     with pytest.raises(InputError):
         measure_eval(Measure(sp, (F(1, 2), F(1, 2))), AtomSpace(3).unit)
+
+
+def test_measure_holds_integers_over_the_least_common_denominator():
+    m = Measure(AtomSpace(3), (F(1, 2), F(1, 3), F(1, 6)))
+    assert m.denominator == 6 and m.numerators == (3, 2, 1)
+    m = gen_measure(10, 1)
+    assert all(F(v, m.denominator) == w for v, w in zip(m.numerators, m.atom_weights))
+    assert m.denominator == lcm(*(w.denominator for w in m.atom_weights))
+
+
+def test_measure_rejects_a_sum_one_unit_off():
+    # weights summing to 1 +- 1/D must fail the integer sum check
+    m = gen_measure(10, 1)
+    unit = F(1, m.denominator)
+    for delta in (unit, -unit):
+        weights = m.atom_weights[:-1] + (m.atom_weights[-1] + delta,)
+        with pytest.raises(InputError, match="sum to exactly 1"):
+            Measure(m.space, weights)
 
 
 def test_strictly_positive_flag():
