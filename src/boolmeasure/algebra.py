@@ -116,35 +116,44 @@ def _require_same_space(a: Element, b: Element) -> None:
         )
 
 
-def canonical_key(e: Element) -> tuple[int, tuple[int, ...]]:
-    """Sort key fixing the canonical order: by size, then lexicographic."""
-    return (e.size, e.atoms)
+def canonical_key(e: Element) -> tuple[int, int]:
+    """Sort key fixing the canonical order: by size, then lexicographic.
+
+    Of two sets of one size, the lexicographically smaller owns the lowest
+    atom where they differ: it has the larger bit-reversed mask."""
+    reversed_mask = int(f"{e.mask:0{e.space.atom_count}b}"[::-1], 2)
+    return (e.mask.bit_count(), -reversed_mask)
 
 
 def minimal_elements(members: Iterable[Element], *, closed_upward: bool) -> list[Element]:
     """Distinct inclusion-minimal members, in the order they first occur.
 
     When the family is upward closed, a member is minimal iff removing any
-    single atom leaves the family, which avoids the quadratic subset scan.
+    single atom leaves the family.  Otherwise members are visited by size, and
+    one is minimal iff it contains no minimal member kept before it: a proper
+    subset is smaller, and lies above some smaller minimal member.
     """
     first: dict[int, Element] = {}
     for e in members:
         first.setdefault(e.mask, e)
-    out = []
-    for mask, e in first.items():
-        if closed_upward:
-            probe, minimal = mask, True
+    if closed_upward:
+        out = []
+        for mask, e in first.items():
+            probe = mask
             while probe:
                 low = probe & -probe
                 probe ^= low
                 if (mask ^ low) in first:
-                    minimal = False
                     break
-        else:
-            minimal = not any(other != mask and other & mask == other for other in first)
-        if minimal:
-            out.append(e)
-    return out
+            else:
+                out.append(e)
+        return out
+    kept: list[int] = []
+    for mask in sorted(first, key=int.bit_count):
+        if all(k & mask != k for k in kept):
+            kept.append(mask)
+    minimal = set(kept)
+    return [e for mask, e in first.items() if mask in minimal]
 
 
 @lru_cache(maxsize=32)

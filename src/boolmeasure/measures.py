@@ -1,9 +1,10 @@
 """Finitely additive measures and their synthesis.
 
 A measure is a nonnegative rational weight per atom, summing to one;
-``m(a)`` is the weight of the atoms of ``a``, which makes additivity on
-disjoint elements hold by construction.  A ``Measure`` also holds its weights
-as integers over their least common denominator D, so member sums, threshold
+``m(a)`` is the weight of the atoms of ``a``, so m(0) = 0, m(1) = 1 and
+disjoint additivity hold by construction (``check_measure_axioms`` is an
+independent exhaustive oracle).  A ``Measure`` also holds its weights as
+integers over their least common denominator D, so member sums, threshold
 tests and axiom checks compare Python integers and build at most one
 ``Fraction`` per reported value.  ``measure_from_collection`` turns a
 positive intersection number into a measure bounding the collection from
@@ -26,7 +27,7 @@ from .intersection import intersection_number, over_common_denominator
 if TYPE_CHECKING:  # avoid a runtime import cycle with fragmentation
     from .fragmentation import Fragmentation
 
-#: Exhaustive axiom checks enumerate 3^n disjoint pairs; refuse beyond this.
+#: ``check_measure_axioms`` enumerates 3^n disjoint pairs; it refuses beyond this.
 AXIOM_CHECK_CAP = 12
 
 
@@ -141,21 +142,17 @@ def subset_sums(weights: Sequence[int]) -> list[int]:
     return sums
 
 
-def require_axiom_checkable(space: AtomSpace) -> None:
-    """Refuse, before any work, a space too wide for ``check_measure_axioms``."""
-    if space.atom_count > AXIOM_CHECK_CAP:
-        raise SizeError(
-            f"axiom check over {space.atom_count} atoms exceeds the cap of {AXIOM_CHECK_CAP}"
-        )
-
-
 def check_measure_axioms(m: Measure) -> None:
     """Exhaustively verify normalization, positivity and disjoint additivity.
 
     Positivity here means ``m(a) > 0`` for every nonzero ``a``; raises
-    :class:`ContractError` on the first violation found.
+    :class:`ContractError` on the first violation found.  An independent
+    oracle: no library path calls it.
     """
-    require_axiom_checkable(m.space)
+    if m.space.atom_count > AXIOM_CHECK_CAP:
+        raise SizeError(
+            f"axiom check over {m.space.atom_count} atoms exceeds the cap of {AXIOM_CHECK_CAP}"
+        )
     sums = subset_sums(m.numerators)  # D * m(mask), in integers
     if sums[0] != 0:
         raise ContractError("m(0) must be 0")

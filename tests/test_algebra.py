@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -50,7 +53,26 @@ def test_enumerate_counts(n, count):
     assert len(elems) == count
     assert len({e.mask for e in elems}) == count
     assert all(not e.is_zero for e in elems)
-    assert [canonical_key(e) for e in elems] == sorted(canonical_key(e) for e in elems)
+    assert list(elems) == sorted(elems, key=lambda e: (e.size, e.atoms))
+
+
+def test_canonical_key_orders_by_size_then_atoms():
+    for n in range(1, 11):
+        sp = AtomSpace(n)
+        every = [sp.from_mask(m) for m in range(sp.unit_mask + 1)]
+        assert sorted(every, key=canonical_key) == sorted(every, key=lambda e: (e.size, e.atoms))
+
+
+def test_canonical_key_on_the_replay_fixture():
+    # 120 members of 119 atoms each over 7,140 pair-atoms: one size, so the
+    # order is decided far from the low bits; smaller random sets added
+    pairs = list(combinations(range(120), 2))
+    sp = AtomSpace(len(pairs))
+    members = [sp.element(x for x, pr in enumerate(pairs) if i in pr) for i in range(120)]
+    rng = random.Random(41)
+    members += [sp.element(rng.sample(range(len(pairs)), rng.randint(1, 119))) for _ in range(80)]
+    rng.shuffle(members)
+    assert sorted(members, key=canonical_key) == sorted(members, key=lambda e: (e.size, e.atoms))
 
 
 def test_enumerate_small_examples():

@@ -348,29 +348,81 @@ def test_cli_certify_certifies_once(monkeypatch, tmp_path, capsys):
     assert scans[0] == 1
 
 
+def _minimal_by_definition(level):
+    return [c for c in level if not any(d != c and d.mask & c.mask == d.mask for d in level)]
+
+
 @pytest.mark.parametrize("atoms", [4, 6])
 def test_certify_fragmentation_checks_each_member_once(monkeypatch, atoms):
-    # m_n(c) >= kappa_n is checked once per member of each level, by the
-    # level certificate; the blend does not check it again
+    # the saddle-point check sees each minimal member of each level once; the
+    # other members contain one of them, and a Measure's axioms hold by
+    # construction, so nothing evaluates the measures again
     frag = from_measure(gen_measure(atoms, 1))
-    in_certify = count_calls(monkeypatch, certify, "measure_eval")
-    in_measures = count_calls(monkeypatch, measures, "measure_eval")
+    assert not hasattr(certify, "measure_eval") and not hasattr(certify, "check_measure_axioms")
+    evals = count_calls(monkeypatch, measures, "measure_eval")
+    axioms = count_calls(monkeypatch, measures, "check_measure_axioms")
+    original, checked = intersection._check_game_solution, [0]
+
+    def counted(members, *args):
+        checked[0] += len(members)
+        return original(members, *args)
+
+    monkeypatch.setattr(intersection, "_check_game_solution", counted)
     certify_fragmentation(frag)
-    assert in_certify[0] + in_measures[0] == sum(len(level) for level in frag.levels)
+    assert evals[0] == 0
+    assert axioms[0] == 0
+    assert checked[0] == sum(len(_minimal_by_definition(level)) for level in frag.levels)
 
 
-def test_certify_refuses_over_the_axiom_cap_before_any_lp(monkeypatch, tmp_path, capsys):
-    # the blend's exhaustive axiom check caps a full certify at 12 atoms, and
-    # the refusal comes right after validation, before any level LP
+def test_certify_runs_to_the_enumeration_cap_and_refuses_past_it(monkeypatch, tmp_path, capsys):
+    # a full certify takes up to ENUMERATION_CAP = 16 atoms, and refuses a
+    # wider input before any level LP
+    cert = certify_fragmentation(from_measure(gen_measure(13, 1)))
+    assert cert.measure.strictly_positive
+    path = str(tmp_path / "m13.json")
+    assert main(["gen", "--kind", "measure", "--atoms", "13", "--seed", "1", "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["certify", "--input", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert all(F(w) > 0 for w in report["measure"]["weights"])
+
     def no_lp(*args):
-        raise AssertionError("a level LP ran before the axiom-cap refusal")
+        raise AssertionError("a level LP ran before the enumeration-cap refusal")
 
     monkeypatch.setattr(intersection, "exact_lp_solve", no_lp)
-    message = "axiom check over 13 atoms exceeds the cap of 12"
+    message = "enumeration over 17 atoms exceeds the cap of 16"
+    sp = AtomSpace(17)
     with pytest.raises(SizeError, match=message):
-        certify_fragmentation(from_measure(gen_measure(13, 1)))
-    path = str(tmp_path / "m.json")
-    assert main(["gen", "--kind", "measure", "--atoms", "13", "--seed", "1", "--out", path]) == 0
+        certify_fragmentation(Fragmentation(sp, (frozenset([sp.unit]),)))
+    path = str(tmp_path / "m17.json")
+    assert main(["gen", "--kind", "measure", "--atoms", "17", "--seed", "1", "--out", path]) == 0
     capsys.readouterr()
     assert main(["certify", "--input", path]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_level_measure_bounds_every_member_without_upward_closure():
+    # certify_level checks m(c) >= kappa on the minimal members it keeps; every
+    # member of the level contains one of them, even when the level is not
+    # upward closed and nothing is validated
+    rng = random.Random(37)
+    certified = beyond_minimal = 0
+    for _ in range(60):
+        sp = AtomSpace(rng.randint(2, 7))
+        levels = tuple(
+            frozenset(sp.from_mask(rng.randint(1, sp.unit_mask)) for _ in range(rng.randint(1, 12)))
+            for _ in range(rng.randint(1, 3))
+        )
+        frag = Fragmentation(sp, levels)
+        for n in range(1, frag.depth + 1):
+            try:
+                cert = certify_level(frag, n, validate=False)
+            except CertificationError:
+                continue
+            certified += 1
+            level = frag.level(n)
+            beyond_minimal += len(level) - len(_minimal_by_definition(level))
+            for c in level:
+                value = sum((cert.measure.atom_weights[x] for x in c.atoms), F(0))
+                assert value >= cert.kappa
+    assert certified > 50 and beyond_minimal > 50

@@ -195,6 +195,23 @@ def test_minimal_elements_agree_between_modes():
         assert fast == slow
 
 
+def test_minimal_elements_general_mode_matches_definition():
+    # repeated masks, no closure: a member is minimal when no other distinct
+    # member is a proper subset; each minimal mask once, at its first occurrence
+    rng = random.Random(43)
+    for _ in range(200):
+        sp = AtomSpace(rng.randint(1, 7))
+        pool = [sp.from_mask(rng.randint(0, sp.unit_mask)) for _ in range(rng.randint(1, 6))]
+        family = [rng.choice(pool) for _ in range(rng.randint(1, 20))]
+        expected, seen = [], set()
+        for e in family:
+            proper_subset = any(d.mask != e.mask and d.mask & e.mask == d.mask for d in family)
+            if e.mask not in seen and not proper_subset:
+                expected.append(e)
+            seen.add(e.mask)
+        assert minimal_elements(family, closed_upward=False) == expected
+
+
 def test_max_antichain_examples():
     sp = AtomSpace(5)
     full = Fragmentation(sp, (frozenset(enumerate_nonzero(sp)),))
