@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .algebra import Collection, Element, canonical_key, enumerate_nonzero, minimal_elements
+from .algebra import Collection, Element, enumerate_nonzero
 from .errors import CertificationError, ContractError, InputError, InternalError
 from .expanders import ExpanderFamily, build_expander, choice_function
 from .fragmentation import (
@@ -163,20 +163,13 @@ class ProofTrace:
     notes: tuple[str, ...] = ()
 
 
-def _level_index(frag: Fragmentation, n: int) -> int:
-    """Index of level n in ``frag.levels``, or ``frag.depth`` for B+.
-
-    Levels past the last are the last level when that is all of B+ (as it is
-    on every covering fragmentation), and B+ otherwise.
-    """
-    if n <= frag.depth:
-        return n - 1
-    return frag.depth - 1 if len(frag.levels[-1]) == frag.space.unit_mask else frag.depth
-
-
 def _level(frag: Fragmentation, n: int) -> frozenset[Element]:
-    i = _level_index(frag, n)
-    return frag.levels[i] if i < frag.depth else frozenset(enumerate_nonzero(frag.space))
+    """Level n, where levels past the last are B+ (the last level itself when
+    that is all of B+, as it is on every covering fragmentation)."""
+    if n <= frag.depth:
+        return frag.levels[n - 1]
+    last = frag.levels[-1]
+    return last if len(last) == frag.space.unit_mask else frozenset(enumerate_nonzero(frag.space))
 
 
 def replay_proof(
@@ -199,22 +192,25 @@ def replay_proof(
         raise InputError("sequence must be nonempty")
     if n < 1 or n > frag.depth:
         raise InputError(f"level {n} does not exist")
-    space = frag.space
-    notes: list[str] = []
-    if not trust_fragmentation:
-        require_valid(frag, graded=True)
-    if n + 2 > frag.depth:
-        notes.append(f"extended with {n + 2 - frag.depth} copies of B+ to reach level {n + 2}")
-    level_n, level_n1, level_n2 = _level(frag, n), _level(frag, n + 1), _level(frag, n + 2)
+    mins = None if trust_fragmentation else require_valid(frag, graded=True)
     for i, c in enumerate(seq):
-        if c.space != space:
+        if c.space != frag.space:
             raise InputError(f"sequence member {i} lives in a different atom space")
-        if c not in level_n:
+        if c not in frag.levels[n - 1]:
             raise ContractError(f"sequence member {i} is not in level {n}")
+    if mins is None:
+        K, _ = max_disjoint_family(_level(frag, n + 2), frag.space)
+    else:
+        K = _LevelAnalysis(frag, mins).antichain(n + 2).size
+    return _replay(frag, n, seq, seed, K)
 
-    K, _ = max_disjoint_family(
-        level_n2, space, assume_upward_closed=not trust_fragmentation
-    )
+
+def _replay(frag: Fragmentation, n: int, seq: Sequence[Element], seed: int, K: int) -> ProofTrace:
+    """``replay_proof`` of a sequence from level n, given K = K_{n+2}."""
+    space = frag.space
+    extended = n + 2 - frag.depth
+    notes = (f"extended with {extended} copies of B+ to reach level {n + 2}",) if extended > 0 else ()
+    level_n1, level_n2 = _level(frag, n + 1), _level(frag, n + 2)
     m = len(seq)
     if m < minimum_sequence_length(K):
         raise InputError(
@@ -224,7 +220,7 @@ def replay_proof(
     score = kappa_of_sequence(seq)  # a deepest atom x and J = {i : x in c_i}
     partition = build_signature_partition(seq)
     if score.ratio >= intersection_bound(K):
-        return ProofTrace(params, partition, None, None, TraceVerdict("witness", witness=score), tuple(notes))
+        return ProofTrace(params, partition, None, None, TraceVerdict("witness", witness=score), notes)
 
     # No index set of ratio >= 1/(30K^2) has a common atom, so every occurring
     # signature has size <= k.  Build the expander route and check each step.
@@ -275,7 +271,7 @@ def replay_proof(
         raise InternalError("pigeonhole guarantees an index with no piece in level n+2")
 
     verdict = _descend(seq[bad_i], bad_i, family, a_table, n, level_n1, level_n2)
-    return ProofTrace(params, partition, family, a_table, verdict, tuple(notes))
+    return ProofTrace(params, partition, family, a_table, verdict, notes)
 
 
 def _descend(
@@ -369,31 +365,31 @@ class FragmentationCertificate:
 
 
 class _LevelAnalysis:
-    """Each distinct level of one fragmentation, analysed at most once.
+    """Each distinct level of one valid fragmentation, analysed at most once.
 
-    Lives for a single certify call.  A level's minimal members feed one LP,
-    and the LP's value kappa also bounds the level's antichain search, since
-    a disjoint family of K members forces kappa <= 1/K.
+    Lives for a single certify call, over the minimal members ``require_valid``
+    returned; levels past the last are the last, B+.  A level's minimal
+    members feed one LP, and the LP's value kappa also bounds the level's
+    antichain search, since a disjoint family of K members forces kappa <= 1/K.
     """
 
-    def __init__(self, frag: Fragmentation):
+    def __init__(self, frag: Fragmentation, mins: list[list[Element]]):
         self.frag = frag
-        self._games: dict[int, tuple[list[Element], GameSolution | None]] = {}
+        self.mins = mins
+        self._games: dict[int, GameSolution | None] = {}
         self._antichains: dict[int, tuple[int, tuple[Element, ...]]] = {}
 
     def game(self, n: int) -> tuple[list[Element], GameSolution | None]:
         """Minimal members of level n in canonical order, and the exact game
         over them (None for an empty level)."""
-        key = _level_index(self.frag, n)
+        key = min(n, self.frag.depth) - 1
+        mins = self.mins[key]
         if key not in self._games:
-            level = sorted(_level(self.frag, n), key=canonical_key)
-            mins = minimal_elements(level, closed_upward=True)
-            solution = intersection_number(Collection(self.frag.space, tuple(mins))) if mins else None
-            self._games[key] = (mins, solution)
-        return self._games[key]
+            self._games[key] = intersection_number(Collection(self.frag.space, tuple(mins))) if mins else None
+        return mins, self._games[key]
 
     def antichain(self, n: int) -> AntichainReport:
-        key = _level_index(self.frag, n)
+        key = min(n, self.frag.depth) - 1
         if key not in self._antichains:
             mins, solution = self.game(n)
             bound = math.floor(1 / solution.value) if solution else 0
@@ -427,18 +423,17 @@ class _LevelAnalysis:
         return LevelCertificate(n, solution.value, antichain, bound, measure, notes)
 
 
-def certify_level(frag: Fragmentation, n: int, *, validate: bool = True) -> LevelCertificate:
+def certify_level(frag: Fragmentation, n: int) -> LevelCertificate:
     """Exact kappa of level n, checked against 1/(30 K^2) with K = K_{n+2}.
 
     Missing levels n+1, n+2 are treated as copies of B+ (noted in the
     certificate).  Raises :class:`CertificationError` with the LP witness
     when the bound fails, which cannot happen for honest graded inputs.
     """
-    if validate:
-        require_valid(frag, graded=True)
+    mins = require_valid(frag, graded=True)
     if n < 1 or n > frag.depth:
         raise InputError(f"level {n} does not exist")
-    return _LevelAnalysis(frag).certify(n)
+    return _LevelAnalysis(frag, mins).certify(n)
 
 
 def certify_fragmentation(frag: Fragmentation) -> FragmentationCertificate:
@@ -449,8 +444,7 @@ def certify_fragmentation(frag: Fragmentation) -> FragmentationCertificate:
     weights 2^-n.  The blend is a ``Measure``, whose axioms hold by
     construction, so only its strict positivity is checked.
     """
-    require_valid(frag, graded=True)
-    analysis = _LevelAnalysis(frag)
+    analysis = _LevelAnalysis(frag, require_valid(frag, graded=True))
     certs = tuple(analysis.certify(n) for n in range(1, frag.depth + 1))
     pairs = [
         (cert.measure, cert.kappa if cert.kappa is not None else Fraction(1)) for cert in certs

@@ -24,10 +24,10 @@ from math import comb
 from .algebra import canonical_key
 from .certify import (
     ProofTrace,
+    _replay,
     certify_fragmentation,
     certify_level,
     minimum_sequence_length,
-    replay_proof,
     select_parameters,
 )
 from .errors import (
@@ -277,7 +277,9 @@ def _cmd_certify(args) -> int:
             members = sorted(frag.level(cert.level), key=canonical_key)
             length = minimum_sequence_length(cert.K)
             sequence = [members[i % len(members)] for i in range(length)]
-            trace = replay_proof(frag, cert.level, sequence, args.seed, trust_fragmentation=True)
+            # frag passed validation and the sequence comes from the level, so
+            # the replay starts from the certified K
+            trace = _replay(frag, cert.level, sequence, args.seed, cert.K)
             traces.append(_trace_to_json(trace))
 
     sections = {"levels": level_reports, "notes": notes}

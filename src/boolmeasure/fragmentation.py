@@ -129,20 +129,14 @@ def _nested_upward_violation(
                 (e for e in frag.levels[n] if e.mask not in masks[n + 1]), key=canonical_key
             )
             return FragmentationViolation("nested", n + 1, (missing,))
-    full = frag.space.unit_mask
+    bits = [1 << x for x in range(frag.space.atom_count)]
     for n, lv in enumerate(frag.levels):
-        for e in sorted(lv, key=canonical_key):
-            rest = full & ~e.mask
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                sup = e.mask | low
-                if sup not in masks[n]:
-                    # one-step covers suffice: upward closure fails iff some
-                    # member plus a single atom escapes the level
-                    return FragmentationViolation(
-                        "upward", n + 1, (e, Element(frag.space, sup))
-                    )
+        # one-step covers suffice: upward closure fails iff some member plus
+        # a single atom escapes the level; sorting only names the first
+        escapes = [(e, e.mask | b) for e in lv for b in bits if (e.mask | b) not in masks[n]]
+        if escapes:
+            e, sup = min(escapes, key=lambda escape: canonical_key(escape[0]))
+            return FragmentationViolation("upward", n + 1, (e, Element(frag.space, sup)))
     return None
 
 
@@ -165,28 +159,28 @@ def _refuse(violation: FragmentationViolation | GradedWitness | None) -> None:
 def check_fragmentation(frag: Fragmentation) -> FragmentationReport:
     """Exhaustively verify nestedness, upward closure, and covering."""
     elements = enumerate_nonzero(frag.space)  # refuses over the cap before any scan
-    violation = _nested_upward_violation(frag, _mask_sets(frag))
-    if violation is not None:
-        return FragmentationReport(False, violation)
-    covered = set()
-    for lv in frag.levels:
-        covered.update(e.mask for e in lv)
-    for e in elements:
-        if e.mask not in covered:
-            return FragmentationReport(False, FragmentationViolation("covering", frag.depth, (e,)))
-    return FragmentationReport(True, None)
+    masks = _mask_sets(frag)
+    violation = _nested_upward_violation(frag, masks)
+    if violation is None and len(masks[-1]) < len(elements):
+        # the levels are nested, so the last one holds every member
+        missing = next(e for e in elements if e.mask not in masks[-1])
+        violation = FragmentationViolation("covering", frag.depth, (missing,))
+    return FragmentationReport(violation is None, violation)
 
 
-def require_valid(frag: Fragmentation, *, graded: bool) -> None:
+def require_valid(frag: Fragmentation, *, graded: bool) -> list[list[Element]]:
     """The one validation path: nestedness, upward closure and covering, then
     gradedness when ``graded`` is set.
 
-    Raises :class:`ContractError` whose ``violation`` is the first
+    Returns each level's minimal members in canonical order.  Raises
+    :class:`ContractError` whose ``violation`` is the first
     :class:`FragmentationViolation` or :class:`GradedWitness` found.
     """
     _refuse(check_fragmentation(frag).violation)
+    mins = [_minimal_sorted(lv) for lv in frag.levels]
     if graded:
-        _refuse(_graded_witness(frag, _mask_sets(frag)))
+        _refuse(_graded_witness(frag, _mask_sets(frag), mins))
+    return mins
 
 
 def _submasks_ascending(mask: int) -> list[int]:
@@ -223,13 +217,16 @@ def _graded_step_violation(
 
 def _minimal_sorted(level: Iterable[Element]) -> list[Element]:
     """Minimal members of an upward-closed level, in canonical order."""
-    return minimal_elements(sorted(level, key=canonical_key), closed_upward=True)
+    return sorted(minimal_elements(level, closed_upward=True), key=canonical_key)
 
 
-def _graded_witness(frag: Fragmentation, masks: list[frozenset[int]]) -> GradedWitness | None:
-    """First gradedness failure of a nested, upward-closed fragmentation."""
-    for n in range(len(frag.levels) - 1):
-        hit = _graded_step_violation(frag.space, _minimal_sorted(frag.levels[n]), masks[n + 1])
+def _graded_witness(
+    frag: Fragmentation, masks: list[frozenset[int]], mins: Iterable[list[Element]]
+) -> GradedWitness | None:
+    """First gradedness failure of a nested, upward-closed fragmentation,
+    given its levels' minimal members in canonical order."""
+    for n, level_mins in zip(range(len(frag.levels) - 1), mins):
+        hit = _graded_step_violation(frag.space, level_mins, masks[n + 1])
         if hit is not None:
             return GradedWitness(n + 1, *hit)
     return None
@@ -244,22 +241,26 @@ def check_graded(frag: Fragmentation) -> GradedReport:
     """
     masks = _mask_sets(frag)
     _refuse(_nested_upward_violation(frag, masks))
-    witness = _graded_witness(frag, masks)
+    witness = _graded_witness(frag, masks, map(_minimal_sorted, frag.levels))
     return GradedReport(witness is None, witness)
 
 
-def max_disjoint_family(
-    members: Iterable[Element], space: AtomSpace, *, assume_upward_closed: bool = False
-) -> tuple[int, tuple[Element, ...]]:
+def max_disjoint_family(members: Iterable[Element], space: AtomSpace) -> tuple[int, tuple[Element, ...]]:
     """Exact maximum pairwise-disjoint subfamily by branch and bound.
 
     Search runs over inclusion-minimal members (any disjoint family shrinks
     onto minimal members without losing size), capped at the root by the
     fractional-packing LP bound floor(1/kappa).
     """
-    cands = sorted(
-        minimal_elements(members, closed_upward=assume_upward_closed), key=canonical_key
+    return _max_disjoint_minimal(
+        sorted(minimal_elements(members, closed_upward=False), key=canonical_key), space
     )
+
+
+def _max_disjoint_minimal(
+    cands: Sequence[Element], space: AtomSpace
+) -> tuple[int, tuple[Element, ...]]:
+    """``max_disjoint_family`` of distinct minimal members in canonical order."""
     if not cands:
         return 0, ()
     bound = len(cands)
@@ -317,10 +318,11 @@ def search_disjoint_family(
 
 def max_antichain(frag: Fragmentation, n: int, *, validate: bool = True) -> AntichainReport:
     """Exact maximal-antichain constant K_n of level n, with a witness."""
-    if validate:
-        require_valid(frag, graded=False)
-    size, witness = max_disjoint_family(frag.level(n), frag.space, assume_upward_closed=True)
-    return AntichainReport(n, size, witness)
+    mins = require_valid(frag, graded=False) if validate else None
+    level = frag.level(n)
+    if mins is None:
+        return AntichainReport(n, *max_disjoint_family(level, frag.space))
+    return AntichainReport(n, *_max_disjoint_minimal(mins[n - 1], frag.space))
 
 
 def _threshold_levels(

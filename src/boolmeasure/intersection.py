@@ -174,5 +174,6 @@ def intersection_number_bruteforce(collection: Collection, max_len: int) -> Frac
             score = Fraction(max(counts.values()), length)
             if best is None or score < best:
                 best = score
-    assert best is not None
+    if best is None:
+        raise InternalError("max_len >= 1 must give the bruteforce a sequence to score")
     return best

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from boolmeasure import certify, fragmentation, intersection, measures
+from boolmeasure import algebra, certify, fragmentation, intersection, measures
 from boolmeasure.algebra import AtomSpace, Collection, enumerate_nonzero
 from boolmeasure.certify import (
     build_signature_partition,
@@ -133,18 +133,49 @@ def test_certify_level_validation_and_errors():
         certify_level(_trivial_level_fragmentation(), 2)
 
 
-def test_certification_error_on_mislabeled_levels():
-    # 31 disjoint singletons called level n while level n+2 pretends K = 1:
-    # kappa = 1/31 < 1/30, so the certified bound must fail loudly.
-    sp = AtomSpace(31)
-    singles = frozenset(sp.singleton(i) for i in range(31))
-    frag = Fragmentation(sp, (singles, singles, frozenset([sp.unit])))
+def _failing_bound(monkeypatch):
+    """Make the certified bound exceed every kappa, as it would on levels
+    mislabeled as graded, and return a valid fragmentation to certify."""
+    monkeypatch.setattr(certify, "intersection_bound", lambda K: F(K + 1))
+    return from_measure(gen_measure(6, 1))
+
+
+def test_certification_error_on_mislabeled_levels(monkeypatch):
+    # the failure carries the LP witness over the level's minimal members
+    frag = _failing_bound(monkeypatch)
     with pytest.raises(CertificationError) as err:
-        certify_level(frag, 1, validate=False)
+        certify_level(frag, 1)
     witness = err.value.witness
-    assert witness["kappa"] == F(1, 31)
-    assert witness["bound"] == F(1, 30)
-    assert witness["K"] == 1
+    level = frag.level(1)
+    K = fragmentation.max_antichain(frag, min(3, frag.depth)).size
+    assert witness["level"] == 1
+    assert witness["kappa"] == intersection_number(Collection(frag.space, tuple(level))).value
+    assert witness["K"] == K
+    assert witness["bound"] == K + 1
+    by_size_then_atoms = sorted(_minimal_by_definition(level), key=lambda e: (len(e.atoms), e.atoms))
+    assert list(witness["members"]) == by_size_then_atoms
+    assert len(witness["member_weights"]) == len(witness["members"])
+
+
+def test_cli_certify_reports_certification_failure(monkeypatch, tmp_path, capsys):
+    frag = _failing_bound(monkeypatch)
+    with pytest.raises(CertificationError) as err:
+        certify_fragmentation(frag)
+    path = str(tmp_path / "m.json")
+    assert main(["gen", "--kind", "measure", "--atoms", "6", "--seed", "1", "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["certify", "--input", path]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "fails" and report["levels"] == []
+    witness = err.value.witness
+    assert report["witnesses"]["certification_failure"] == {
+        "level": 1,
+        "kappa": f"{witness['kappa'].numerator}/{witness['kappa'].denominator}",
+        "bound": f"{witness['K'] + 1}/1",
+        "K": witness["K"],
+        "member_weights": [str(w) for w in witness["member_weights"]],
+        "members": [list(e.atoms) for e in witness["members"]],
+    }
 
 
 def test_certify_fragmentation_single_full_level_two_atoms():
@@ -186,7 +217,7 @@ def test_certify_bound_sweep_small():
     for _ in range(15):
         frag = from_measure(gen_measure(rng.randint(1, 8), rng.randint(0, 10**6)))
         for n in range(1, frag.depth + 1):
-            cert = certify_level(frag, n, validate=False)
+            cert = certify_level(frag, n)
             assert cert.kappa >= cert.bound
             assert cert.kappa == intersection_number(
                 Collection(frag.space, tuple(frag.level(n)))
@@ -225,7 +256,7 @@ def test_replay_measure_fragmentation_random_sequences():
         levels_ext = list(frag.levels) + [frag.levels[-1]] * 2
         from boolmeasure.fragmentation import max_disjoint_family
 
-        K, _ = max_disjoint_family(levels_ext[n + 1], frag.space, assume_upward_closed=True)
+        K, _ = max_disjoint_family(levels_ext[n + 1], frag.space)
         length = minimum_sequence_length(K)
         seq = [members[rng.randrange(len(members))] for _ in range(length)]
         trace = replay_proof(frag, n, seq, seed=7)
@@ -322,30 +353,53 @@ def count_calls(monkeypatch, module, name) -> list[int]:
     return calls
 
 
-@pytest.mark.parametrize("atoms", [4, 6, 8])
+@pytest.mark.parametrize("atoms", [4, 6, 8, 10])
 def test_certify_fragmentation_analyses_each_level_once(monkeypatch, atoms):
     # each level's LP also bounds the antichain search two levels below, and
-    # levels past the last are the last level, so depth LPs suffice
+    # levels past the last are the last level, so depth LPs suffice; each
+    # level is reduced and sorted once, by validation, and certify reuses it
     frag = from_measure(gen_measure(atoms, 1))
     lp = count_calls(monkeypatch, intersection, "exact_lp_solve")
     scans = count_calls(monkeypatch, fragmentation, "_nested_upward_violation")
-    certify_fragmentation(frag)
+    original_minimal, reductions = algebra.minimal_elements, [0]
+    original_key, keys = algebra.canonical_key, [0]
+
+    def counted_minimal(members, *, closed_upward):
+        reductions[0] += closed_upward
+        return original_minimal(members, closed_upward=closed_upward)
+
+    def counted_key(e):
+        keys[0] += 1
+        return original_key(e)
+
+    for module in (algebra, intersection, fragmentation, certify):
+        for name, counted in (("minimal_elements", counted_minimal), ("canonical_key", counted_key)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    cert = certify_fragmentation(frag)
     assert lp[0] == frag.depth
     assert scans[0] == 1
+    assert reductions[0] == frag.depth
+    members = sum(len(level) for level in frag.levels)
+    assert keys[0] <= members + sum(c.K for c in cert.level_certificates)
 
 
 def test_cli_certify_certifies_once(monkeypatch, tmp_path, capsys):
-    # CLI certify validates and certifies once, then reports what it got
+    # CLI certify validates and certifies once, then reports what it got;
+    # the traces start from the certified K instead of solving its LP again
     path = str(tmp_path / "m.json")
     assert main(["gen", "--kind", "measure", "--atoms", "6", "--seed", "1", "--out", path]) == 0
-    lp = count_calls(monkeypatch, intersection, "exact_lp_solve")
-    scans = count_calls(monkeypatch, fragmentation, "_nested_upward_violation")
-    capsys.readouterr()
-    assert main(["certify", "--input", path]) == 0
     depth = from_measure(gen_measure(6, 1)).depth
-    assert len(json.loads(capsys.readouterr().out)["levels"]) == depth
-    assert lp[0] == depth
-    assert scans[0] == 1
+    for trace in ([], ["--trace"]):
+        lp = count_calls(monkeypatch, intersection, "exact_lp_solve")
+        scans = count_calls(monkeypatch, fragmentation, "_nested_upward_violation")
+        capsys.readouterr()
+        assert main(["certify", "--input", path] + trace) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["levels"]) == depth
+        assert len(report.get("traces", [])) == (depth if trace else 0)
+        assert lp[0] == depth
+        assert scans[0] == 1
 
 
 def _minimal_by_definition(level):
@@ -399,30 +453,3 @@ def test_certify_runs_to_the_enumeration_cap_and_refuses_past_it(monkeypatch, tm
     capsys.readouterr()
     assert main(["certify", "--input", path]) == 2
     assert message in capsys.readouterr().err
-
-
-def test_level_measure_bounds_every_member_without_upward_closure():
-    # certify_level checks m(c) >= kappa on the minimal members it keeps; every
-    # member of the level contains one of them, even when the level is not
-    # upward closed and nothing is validated
-    rng = random.Random(37)
-    certified = beyond_minimal = 0
-    for _ in range(60):
-        sp = AtomSpace(rng.randint(2, 7))
-        levels = tuple(
-            frozenset(sp.from_mask(rng.randint(1, sp.unit_mask)) for _ in range(rng.randint(1, 12)))
-            for _ in range(rng.randint(1, 3))
-        )
-        frag = Fragmentation(sp, levels)
-        for n in range(1, frag.depth + 1):
-            try:
-                cert = certify_level(frag, n, validate=False)
-            except CertificationError:
-                continue
-            certified += 1
-            level = frag.level(n)
-            beyond_minimal += len(level) - len(_minimal_by_definition(level))
-            for c in level:
-                value = sum((cert.measure.atom_weights[x] for x in c.atoms), F(0))
-                assert value >= cert.kappa
-    assert certified > 50 and beyond_minimal > 50
