@@ -63,14 +63,13 @@ class KRParameters:
     m: int
     k: int
     p: int
-    level: int | None = None
 
     def __post_init__(self):
         if self.p * self.p < 15 * self.m * self.k or self.p * self.K >= self.m:
             raise InternalError("derived parameters violate their guaranteed inequalities")
 
 
-def select_parameters(K: int, m: int, *, level: int | None = None) -> KRParameters:
+def select_parameters(K: int, m: int) -> KRParameters:
     """Compute (k, p) from (K, m) by exact integer comparisons."""
     if not isinstance(K, int) or K < 1:
         raise InputError(f"K must be a positive integer, got {K!r}")
@@ -85,7 +84,7 @@ def select_parameters(K: int, m: int, *, level: int | None = None) -> KRParamete
         raise InternalError("p >= k must follow from K <= 30*K^2")
     if (k + 1) * d < m:
         raise InternalError("k is not maximal")
-    return KRParameters(K=K, m=m, k=k, p=p, level=level)
+    return KRParameters(K=K, m=m, k=k, p=p)
 
 
 @dataclass(frozen=True)
@@ -216,7 +215,7 @@ def _replay(frag: Fragmentation, n: int, seq: Sequence[Element], seed: int, K: i
         raise InputError(
             f"sequence length {m} is below 100*K^2 = {minimum_sequence_length(K)} for K = {K}"
         )
-    params = select_parameters(K, m, level=n)
+    params = select_parameters(K, m)
     score = kappa_of_sequence(seq)  # a deepest atom x and J = {i : x in c_i}
     partition = build_signature_partition(seq)
     if score.ratio >= intersection_bound(K):

@@ -90,10 +90,10 @@ def _report(command: str, digest: str, verdict: str, started: float, **sections)
     return out
 
 
-def _trace_to_json(trace: ProofTrace) -> dict:
+def _trace_to_json(trace: ProofTrace, level: int) -> dict:
     params = trace.parameters
     out: dict = {
-        "parameters": {"K": params.K, "m": params.m, "k": params.k, "p": params.p, "level": params.level},
+        "parameters": {"K": params.K, "m": params.m, "k": params.k, "p": params.p, "level": level},
         "cells": [
             {"signature": sorted(sig), "cell": element_to_json(cell)}
             for sig, cell in sorted(trace.partition.cells.items(), key=lambda kv: sorted(kv[0]))
@@ -265,7 +265,7 @@ def _cmd_certify(args) -> int:
             "notes": list(cert.notes),
         }
         if cert.kappa is not None:
-            params = select_parameters(cert.K, minimum_sequence_length(cert.K), level=cert.level)
+            params = select_parameters(cert.K, minimum_sequence_length(cert.K))
             entry["parameters"] = {
                 "K": params.K,
                 "m": params.m,
@@ -280,7 +280,7 @@ def _cmd_certify(args) -> int:
             # frag passed validation and the sequence comes from the level, so
             # the replay starts from the certified K
             trace = _replay(frag, cert.level, sequence, args.seed, cert.K)
-            traces.append(_trace_to_json(trace))
+            traces.append(_trace_to_json(trace, cert.level))
 
     sections = {"levels": level_reports, "notes": notes}
     if measure is not None:

@@ -29,7 +29,7 @@ from .algebra import (
     minimal_elements,
 )
 from .errors import ContractError, InputError, SizeError
-from .intersection import intersection_number
+from .intersection import intersection_number, over_common_denominator
 from .measures import Measure, subset_sums
 
 #: Node budget for the exact maximum-antichain search.
@@ -71,16 +71,6 @@ class Submeasure:
 
     space: AtomSpace
     values: Mapping[Element, Fraction]
-
-    def of(self, a: Element) -> Fraction:
-        if a.space != self.space:
-            raise InputError("element belongs to a different atom space")
-        if a.is_zero:
-            return Fraction(0)
-        try:
-            return self.values[a]
-        except KeyError:
-            raise InputError(f"submeasure table has no value for element {a.atoms}") from None
 
 
 @dataclass(frozen=True)
@@ -135,7 +125,8 @@ def _nested_upward_violation(
         # a single atom escapes the level; sorting only names the first
         escapes = [(e, e.mask | b) for e in lv for b in bits if (e.mask | b) not in masks[n]]
         if escapes:
-            e, sup = min(escapes, key=lambda escape: canonical_key(escape[0]))
+            e = min((e for e, _ in escapes), key=canonical_key)
+            sup = next(sup for member, sup in escapes if member is e)
             return FragmentationViolation("upward", n + 1, (e, Element(frag.space, sup)))
     return None
 
@@ -326,18 +317,17 @@ def max_antichain(frag: Fragmentation, n: int, *, validate: bool = True) -> Anti
 
 
 def _threshold_levels(
-    space: AtomSpace, values: Sequence, cut, elements: Sequence[Element]
+    space: AtomSpace, sums: Sequence[int], unit: int, elements: Sequence[Element]
 ) -> Fragmentation:
-    """Levels C_n = {e : values[e.mask] >= cut(n)}, down to the first level
-    that holds every singleton."""
-    minimum = min(values[1 << x] for x in range(space.atom_count))
-    depth = 1
-    while minimum < cut(depth):
-        depth += 1
-    levels = []
-    for n in range(1, depth + 1):
-        bar = cut(n)
-        levels.append(frozenset(e for e in elements if values[e.mask] >= bar))
+    """Levels C_n = {e : sums[e.mask] / unit >= 1/2^n}, down to the first
+    level that holds every singleton.  ``sums`` holds integers, so the test
+    sums[mask] << n >= unit reads sums[mask] >= ceil(unit / 2^n)."""
+    minimum = min(sums[1 << x] for x in range(space.atom_count))
+    levels: list[frozenset[Element]] = []
+    bar = unit + 1  # above every value, so there is at least one level
+    while minimum < bar:
+        bar = -(-unit >> (len(levels) + 1))
+        levels.append(frozenset(e for e in elements if sums[e.mask] >= bar))
     return Fragmentation(space, tuple(levels))
 
 
@@ -349,18 +339,16 @@ def from_measure(m: Measure) -> Fragmentation:
     if not m.strictly_positive:
         raise InputError("threshold fragmentation needs a strictly positive measure")
     elements = enumerate_nonzero(m.space)  # refuses before the 2^n table is built
-    # sums[mask] = D * m(mask) is an integer, so m(mask) >= 1/2^n, that is
-    # sums[mask] << n >= D, reads sums[mask] >= ceil(D / 2^n)
-    unit = m.denominator
-    return _threshold_levels(m.space, subset_sums(m.numerators), lambda n: -(-unit >> n), elements)
+    return _threshold_levels(m.space, subset_sums(m.numerators), m.denominator, elements)
 
 
-def check_submeasure(phi: Submeasure) -> list[Fraction]:
+def check_submeasure(phi: Submeasure) -> tuple[list[int], int]:
     """Validate the submeasure table exhaustively; raises InputError.
 
     Monotonicity is checked on one-atom extensions and subadditivity on
-    disjoint pairs, which imply both properties in general.  Returns the
-    validated values indexed by mask.
+    disjoint pairs, which imply both properties in general.  Returns
+    ``(table, D)``: ``table[mask]`` is the integer D * phi(mask), over the
+    least common denominator D of the values.
     """
     space = phi.space
     elements = enumerate_nonzero(space)  # refuses over the cap before the table is built
@@ -378,24 +366,28 @@ def check_submeasure(phi: Submeasure) -> list[Fraction]:
         raise InputError("submeasure must vanish at zero")
     if vals[space.unit_mask] != 1:
         raise InputError("submeasure must be 1 on the unit")
+    table, unit = over_common_denominator(vals)
     for mask in range(1, space.unit_mask + 1):
+        value = table[mask]
         rest = space.unit_mask & ~mask
         probe = rest
         while probe:
             low = probe & -probe
             probe ^= low
-            if vals[mask] > vals[mask | low]:
+            if value > table[mask | low]:
                 raise InputError(
                     f"submeasure is not monotone between masks {mask:b} and {mask | low:b}"
                 )
+        # each disjoint pair once, from its smaller mask: the least mask in a
+        # violating pair is its smaller one, so the same violation is named
         b = rest
-        while b:
-            if vals[mask | b] > vals[mask] + vals[b]:
+        while b > mask:
+            if table[mask | b] > value + table[b]:
                 raise InputError(
                     f"submeasure is not subadditive on disjoint masks {mask:b}, {b:b}"
                 )
             b = (b - 1) & rest
-    return vals
+    return table, unit
 
 
 def from_submeasure(phi: Submeasure) -> Fragmentation:
@@ -404,9 +396,8 @@ def from_submeasure(phi: Submeasure) -> Fragmentation:
     Gradedness of the result is exactly subadditivity made executable: if
     phi(a | b) >= 1/2^n then one of phi(a), phi(b) is >= 1/2^(n+1).
     """
-    vals = check_submeasure(phi)
-    elements = enumerate_nonzero(phi.space)
-    return _threshold_levels(phi.space, vals, lambda n: Fraction(1, 1 << n), elements)
+    table, unit = check_submeasure(phi)
+    return _threshold_levels(phi.space, table, unit, enumerate_nonzero(phi.space))
 
 
 def extract_graded_subfragmentation(frag: Fragmentation) -> Fragmentation:

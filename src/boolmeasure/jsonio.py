@@ -3,7 +3,9 @@
 One instance file carries an atom count plus any of: a collection, a measure,
 a submeasure, a fragmentation, an expander family.  Rationals travel as
 strings ("p/q" or "p", lowest terms on output) so no value is ever forced
-through a float.  Elements are sorted, duplicate-free arrays of atom indices.
+through a float.  Elements are sorted, duplicate-free arrays of atom indices;
+a submeasure table keys each element by those indices comma-joined ("" for
+zero).
 """
 
 from __future__ import annotations
@@ -95,7 +97,10 @@ def submeasure_from_json(space: AtomSpace, data: Any) -> Submeasure:
             atoms = [int(part) for part in key.split(",")] if key else []
         except ValueError:
             raise InputError(f"submeasure key {key!r} is not comma-separated atom indices") from None
-        values[space.element(atoms)] = parse_rational(v)
+        e = space.element(atoms)
+        if _element_key(e) != key:  # one spelling per element, so no key shadows another
+            raise InputError(f"submeasure key {key!r} is not sorted, duplicate-free atom indices")
+        values[e] = parse_rational(v)
     return Submeasure(space, values)
 
 

@@ -2,15 +2,17 @@
 
 Each routine here deliberately avoids the code path it checks: the LP oracle
 enumerates basic solutions instead of pivoting, the packing oracle runs a
-mask DP instead of branch and bound, and the gradedness oracle enumerates
+mask DP instead of branch and bound, the gradedness oracle enumerates
 every decomposition (overlapping ones included) instead of complemented
-splits of minimal members.
+splits of minimal members, and the submeasure oracle adds ``Fraction``s over
+every ordered disjoint pair instead of integers over each unordered one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from typing import Mapping
 
 from boolmeasure.algebra import AtomSpace, Element
 from boolmeasure.fragmentation import Fragmentation
@@ -115,3 +117,41 @@ def graded_by_full_decomposition(frag: Fragmentation) -> bool:
                     if a | b == cmask and a not in nxt and b not in nxt:
                         return False
     return True
+
+
+def submeasure_violation(space: AtomSpace, values: Mapping[Element, Fraction]) -> str | None:
+    """The message of the first submeasure axiom ``values`` fails, or None.
+
+    Values are read in canonical order (size, then atoms), then checked for
+    vanishing at zero and normalization.  Monotonicity and subadditivity run
+    in ``Fraction``s over every ordered pair: masks ascending, for each its
+    one-atom extensions by ascending atom, then every nonzero disjoint partner
+    in descending order.
+    """
+    n = space.atom_count
+    unit = (1 << n) - 1
+
+    def atoms(mask: int) -> tuple[int, ...]:
+        return tuple(x for x in range(n) if mask >> x & 1)
+
+    phi = [Fraction(0)] * (unit + 1)
+    for mask in sorted(range(1, unit + 1), key=lambda m: (m.bit_count(), atoms(m))):
+        e = space.from_mask(mask)
+        if e not in values:
+            return f"submeasure table misses element {atoms(mask)}"
+        v = Fraction(values[e])
+        if not 0 < v <= 1:
+            return f"submeasure value {v} at {atoms(mask)} is outside (0, 1]"
+        phi[mask] = v
+    if values.get(space.zero, 0) != 0:
+        return "submeasure must vanish at zero"
+    if phi[unit] != 1:
+        return "submeasure must be 1 on the unit"
+    for a in range(1, unit + 1):
+        for x in range(n):
+            if not a >> x & 1 and phi[a] > phi[a | 1 << x]:
+                return f"submeasure is not monotone between masks {a:b} and {a | 1 << x:b}"
+        for b in range(unit, 0, -1):
+            if a & b == 0 and phi[a | b] > phi[a] + phi[b]:
+                return f"submeasure is not subadditive on disjoint masks {a:b}, {b:b}"
+    return None

@@ -104,6 +104,16 @@ def test_certify_submeasure_auto_conversion(tmp_path):
     assert "submeasure thresholds" in " ".join(report["notes"])
 
 
+def test_certify_submeasure_key_out_of_canonical_form_exits_2(tmp_path, capsys):
+    # "0,0" names the element {0} again; it must not silently replace "0"
+    values = {"0": "1/2", "1": "1/2", "0,1": "1", "0,0": "3/4"}
+    path = write(tmp_path, "s.json", {"atom_count": 2, "submeasure": {"values": values}})
+    assert main(["certify", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "submeasure key '0,0'" in captured.err
+
+
 def test_kappa_input_errors_exit_2(tmp_path):
     missing = write(tmp_path, "m.json", {"atom_count": 2})
     assert run_cli(["kappa", "--input", missing]).returncode == 2

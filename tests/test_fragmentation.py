@@ -22,7 +22,7 @@ from boolmeasure.fragmentation import (
 from boolmeasure.generators import gen_measure, gen_submeasure
 from boolmeasure.measures import Measure, subset_sums
 
-from _oracles import graded_by_full_decomposition, max_packing_by_mask_dp
+from _oracles import graded_by_full_decomposition, max_packing_by_mask_dp, submeasure_violation
 
 
 def _random_measure(rng, n):
@@ -280,6 +280,10 @@ def test_submeasure_validation_rejections():
     with pytest.raises(InputError):
         check_submeasure(Submeasure(sp, not_subadd))
 
+    short_by_one_twelfth = {sp.element([0]): F(1, 2), sp.element([1]): F(5, 12), sp.unit: F(1)}
+    with pytest.raises(InputError):
+        check_submeasure(Submeasure(sp, short_by_one_twelfth))
+
     missing = {sp.element([0]): F(1, 2), sp.unit: F(1)}
     with pytest.raises(InputError):
         check_submeasure(Submeasure(sp, missing))
@@ -305,6 +309,46 @@ def test_submeasure_thresholds_are_graded():
         frag = from_submeasure(phi)
         assert check_fragmentation(frag).valid
         assert check_graded(frag).graded
+
+
+def test_check_submeasure_names_the_oracles_first_violation():
+    # one value of a valid table scaled by a ratio in [1/2, 3/2]: tables that
+    # pass, and tables failing on range, the unit, monotonicity and
+    # subadditivity, each named as the Fraction oracle names it
+    rng = random.Random(97)
+    kinds = ("outside", "unit", "monotone", "subadditive")
+    seen = set()
+    for i in range(320):
+        phi = gen_submeasure(1 + i % 9, rng.randrange(1000))
+        values = dict(phi.values)
+        values[rng.choice(enumerate_nonzero(phi.space))] *= F(rng.randint(4, 12), 8)
+        expected = submeasure_violation(phi.space, values)
+        if expected is None:
+            check_submeasure(Submeasure(phi.space, values))
+        else:
+            with pytest.raises(InputError) as exc:
+                check_submeasure(Submeasure(phi.space, values))
+            assert str(exc.value) == expected
+        seen.add(next(k for k in kinds if k in expected) if expected else "valid")
+    assert seen == {"valid", *kinds}
+
+
+def test_submeasure_threshold_cut_on_exact_boundaries():
+    # min(1, mu) over four atoms, least common denominator 12: values exactly
+    # 1/2 and 1/4, 1/6 = 1/4 - 1/12, and 1/12 < 1/8 with 12 / 8 not an
+    # integer.  Three atoms cannot hold 1/6 beside 1/4 and 1/2: a value 1/6
+    # needs an atom worth at most 1/6, the other two then sum to at least
+    # 5/6, and the table then cannot also take both 1/4 and 1/2.
+    sp = AtomSpace(4)
+    mu = (F(1, 12), F(1, 6), F(1, 2), F(1, 2))
+    values = {e: min(F(1), sum(mu[x] for x in e.atoms)) for e in enumerate_nonzero(sp)}
+    assert {F(1, 2), F(1, 4), F(1, 6), F(1, 12)} <= set(values.values())
+    depth = next(n for n in range(1, 10) if min(mu) >= F(1, 2**n))
+    assert depth == 4
+    expected = tuple(
+        frozenset(e for e, v in values.items() if v >= F(1, 2**n)) for n in range(1, depth + 1)
+    )
+    assert from_submeasure(Submeasure(sp, values)).levels == expected
 
 
 def test_extract_already_graded_unchanged():

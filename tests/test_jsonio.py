@@ -114,7 +114,7 @@ def test_malformed_sections():
         instance_from_json({"atom_count": 2, "expander": {"m": 1}})
     with pytest.raises(InputError):
         instance_from_json({"atom_count": 2, "submeasure": {"values": {"0": "0/0"}}})
-    for key in ("a", "0,"):
+    for key in ("a", "0,", "0,0", "1,0", " 1"):
         with pytest.raises(InputError):
             instance_from_json({"atom_count": 2, "submeasure": {"values": {key: "1"}}})
     with pytest.raises(InputError):
