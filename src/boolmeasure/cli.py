@@ -38,8 +38,9 @@ from .errors import (
     HallViolationError,
     InputError,
     InternalError,
+    SizeError,
 )
-from .expanders import choice_function, verify_expansion
+from .expanders import VERIFY_BUDGET, choice_function, verify_expansion
 from .fragmentation import (
     FragmentationViolation,
     GradedWitness,
@@ -352,6 +353,10 @@ def _cmd_kr_verify(args) -> int:
     if args.choices:
         k = min(family.k, family.m_size)
         total = sum(comb(family.m_size, j) for j in range(1, k + 1))
+        if total > VERIFY_BUDGET:
+            raise SizeError(
+                f"{total} index sets exceed the choice-function budget of {VERIFY_BUDGET}"
+            )
         count = 0
         for j in range(1, k + 1):
             for idx in combinations(range(family.m_size), j):

@@ -207,10 +207,19 @@ def dumps_instance(inst: InstanceFile) -> str:
     return json.dumps(instance_to_json(inst), indent=2, sort_keys=True) + "\n"
 
 
+def _refuse_repeated_keys(pairs: list[tuple[str, Any]]) -> dict:
+    obj: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in obj:  # json.load would keep the last value silently
+            raise InputError(f"JSON object repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_instance(path: str) -> InstanceFile:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_refuse_repeated_keys)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:

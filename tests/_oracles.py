@@ -4,8 +4,10 @@ Each routine here deliberately avoids the code path it checks: the LP oracle
 enumerates basic solutions instead of pivoting, the packing oracle runs a
 mask DP instead of branch and bound, the gradedness oracle enumerates
 every decomposition (overlapping ones included) instead of complemented
-splits of minimal members, and the submeasure oracle adds ``Fraction``s over
-every ordered disjoint pair instead of integers over each unordered one.
+splits of minimal members, the submeasure oracle adds ``Fraction``s over
+every ordered disjoint pair instead of integers over each unordered one, and
+the expansion oracles run over every index set instead of only the connected
+ones.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from itertools import combinations
 from typing import Mapping
 
 from boolmeasure.algebra import AtomSpace, Element
+from boolmeasure.expanders import ExpanderFamily
 from boolmeasure.fragmentation import Fragmentation
 
 
@@ -155,3 +158,31 @@ def submeasure_violation(space: AtomSpace, values: Mapping[Element, Fraction]) -
             if a & b == 0 and phi[a | b] > phi[a] + phi[b]:
                 return f"submeasure is not subadditive on disjoint masks {a:b}, {b:b}"
     return None
+
+
+def expansion_violation_bruteforce(family: ExpanderFamily) -> tuple[int, ...] | None:
+    """The least index set I in (size, lex) order with |union of A_i| <= |I|
+    among all I with 1 <= |I| <= k, or None when the family expands."""
+    for j in range(1, min(family.k, family.m_size) + 1):
+        for idx in combinations(range(family.m_size), j):
+            if len(set().union(*(family.sets[i] for i in idx))) <= j:
+                return idx
+    return None
+
+
+def connected_index_set_count(family: ExpanderFamily) -> int:
+    """How many I with 1 <= |I| <= k are connected when indices whose sets
+    share a point are joined, by a search inside every combination."""
+    count = 0
+    for j in range(1, min(family.k, family.m_size) + 1):
+        for idx in combinations(range(family.m_size), j):
+            reached = {idx[0]}
+            frontier = [idx[0]]
+            while frontier:
+                i = frontier.pop()
+                for o in idx:
+                    if o not in reached and set(family.sets[i]) & set(family.sets[o]):
+                        reached.add(o)
+                        frontier.append(o)
+            count += len(reached) == j
+    return count

@@ -114,6 +114,20 @@ def test_certify_submeasure_key_out_of_canonical_form_exits_2(tmp_path, capsys):
     assert "submeasure key '0,0'" in captured.err
 
 
+def test_certify_submeasure_repeated_key_exits_2(tmp_path, capsys):
+    # the second "0" must not silently replace the first
+    path = tmp_path / "s.json"
+    path.write_text(
+        '{"atom_count": 2, "submeasure": {"values": '
+        '{"": "0", "0": "1/2", "1": "1/2", "0,1": "1", "0": "3/4"}}}',
+        encoding="utf-8",
+    )
+    assert main(["certify", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "repeats the key '0'" in captured.err
+
+
 def test_kappa_input_errors_exit_2(tmp_path):
     missing = write(tmp_path, "m.json", {"atom_count": 2})
     assert run_cli(["kappa", "--input", missing]).returncode == 2
@@ -246,8 +260,25 @@ def test_kr_verify_roundtrip(tmp_path):
     res = run_cli(["kr-verify", "--input", str(tmp_path / "x.json"), "--choices"])
     assert res.returncode == 0, res.stderr
     report = json.loads(res.stdout)
-    assert report["values"]["checked"] == 1350
+    assert report["values"]["checked"] == 224  # connected index sets, of 1,350
     assert report["values"]["choice_functions"] == 1350
+
+
+def test_kr_verify_choices_refuses_past_the_budget(tmp_path, capsys):
+    # 50,665 connected index sets verify; C(400, <= 3) = 10,667,000 choice
+    # functions would not finish
+    path = str(tmp_path / "x.json")
+    assert main(["gen", "--kind", "expander", "--seed", "1",
+                 "--params", "m=400,p=199,k=3", "--out", path]) == 0
+    assert main(["kr-verify", "--input", path]) == 0
+    assert json.loads(capsys.readouterr().out)["values"]["checked"] == 50_665
+    start = time.perf_counter()
+    assert main(["kr-verify", "--input", path, "--choices"]) == 2
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "10667000 index sets exceed the choice-function budget" in captured.err
+    assert elapsed < 5.0
 
 
 def test_kr_verify_failure_witness(tmp_path):

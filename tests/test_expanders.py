@@ -1,6 +1,8 @@
+import random
 from itertools import combinations
 
 import pytest
+from _oracles import connected_index_set_count, expansion_violation_bruteforce
 
 from boolmeasure.errors import (
     ConstructionError,
@@ -9,6 +11,7 @@ from boolmeasure.errors import (
     SizeError,
 )
 from boolmeasure.expanders import (
+    VERIFY_BUDGET,
     ExpanderFamily,
     build_expander,
     check_preconditions,
@@ -40,7 +43,7 @@ def test_disjoint_triples_expand():
     fam = ExpanderFamily(3, 9, 3, ((0, 1, 2), (3, 4, 5), (6, 7, 8)))
     report = verify_expansion(fam)
     assert report.ok and report.violating is None
-    assert report.checked == 3 + 3 + 1
+    assert report.checked == 3  # no two triples share a point: only singletons connect
 
 
 def test_identical_sets_boundary():
@@ -57,11 +60,34 @@ def test_verify_budget_refusal(monkeypatch):
     import boolmeasure.expanders as ex
 
     fam = ExpanderFamily(3, 9, 3, ((0, 1, 2), (3, 4, 5), (6, 7, 8)))
-    monkeypatch.setattr(ex, "VERIFY_BUDGET", 7)  # 3 + 3 + 1 index sets of size <= 3
-    assert verify_expansion(fam).checked == 7
-    monkeypatch.setattr(ex, "VERIFY_BUDGET", 6)
+    monkeypatch.setattr(ex, "VERIFY_BUDGET", 3)  # the three singletons are the connected sets
+    assert verify_expansion(fam).checked == 3
+    monkeypatch.setattr(ex, "VERIFY_BUDGET", 2)
     with pytest.raises(SizeError):
         verify_expansion(fam)
+
+
+def test_verify_expansion_matches_the_exhaustive_oracle():
+    # few points make violations, identical sets among them, common
+    rng = random.Random(20061)
+    outcomes = set()
+    for _ in range(2000):
+        m, p, k = rng.randint(1, 10), rng.randint(3, 8), rng.randint(1, 5)
+        sets = tuple(tuple(rng.sample(range(p), 3)) for _ in range(m))
+        fam = ExpanderFamily(m, p, k, sets)
+        report = verify_expansion(fam)
+        violating = expansion_violation_bruteforce(fam)
+        assert (report.ok, report.violating) == (violating is None, violating), fam
+        assert report.checked == connected_index_set_count(fam), fam  # each connected set once
+        outcomes.add(report.ok if report.ok else len(violating))
+    assert outcomes >= {True, 3, 4, 5}
+
+
+def test_build_expander_at_m_400_verifies_within_budget():
+    # C(400, <= 3) = 10,667,000 index sets, of which 50,665 are connected
+    fam = build_expander(400, 199, 3, seed=1)
+    report = verify_expansion(fam)
+    assert report.ok and report.checked == 50_665 <= VERIFY_BUDGET
 
 
 def test_build_expander_deterministic_and_verified():

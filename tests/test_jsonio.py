@@ -22,6 +22,7 @@ from boolmeasure.jsonio import (
     format_rational,
     instance_from_json,
     instance_to_json,
+    load_instance,
     parse_rational,
 )
 
@@ -124,6 +125,26 @@ def test_malformed_sections():
                 {"sets": [[0, 1, "2"]]}):
         with pytest.raises(InputError):
             instance_from_json({"expander": {**good, **bad}})
+
+
+def test_load_instance_refuses_repeated_keys(tmp_path):
+    # plain json.load keeps the last of two equal keys, so "0": "3/4" would
+    # silently replace "0": "1/2"; each section must refuse the repeat instead
+    texts = [
+        '{"atom_count": 2, "submeasure": {"values": '
+        '{"": "0", "0": "1/2", "1": "1/2", "0,1": "1", "0": "3/4"}}}',
+        '{"atom_count": 2, "atom_count": 3, "collection": [[0], [1]]}',
+        '{"atom_count": 2, "measure": {"weights": ["1/2", "1/2"], "weights": ["1", "0"]}}',
+        '{"expander": {"m": 1, "p": 9, "k": 3, "sets": [[0, 1, 2]], "k": 4}}',
+    ]
+    for i, text in enumerate(texts):
+        path = tmp_path / f"repeat{i}.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InputError, match="repeats the key"):
+            load_instance(str(path))
+    path = tmp_path / "once.json"
+    path.write_text(dumps_instance(InstanceFile(4, submeasure=gen_submeasure(4, 1))), encoding="utf-8")
+    assert load_instance(str(path)).submeasure == gen_submeasure(4, 1)
 
 
 def test_measure_weights_normalized_on_input():
