@@ -125,29 +125,16 @@ def canonical_key(e: Element) -> tuple[int, int]:
     return (e.mask.bit_count(), -reversed_mask)
 
 
-def minimal_elements(members: Iterable[Element], *, closed_upward: bool) -> list[Element]:
+def minimal_elements(members: Iterable[Element]) -> list[Element]:
     """Distinct inclusion-minimal members, in the order they first occur.
 
-    When the family is upward closed, a member is minimal iff removing any
-    single atom leaves the family.  Otherwise members are visited by size, and
-    one is minimal iff it contains no minimal member kept before it: a proper
-    subset is smaller, and lies above some smaller minimal member.
+    Members are visited by size, and one is minimal iff it contains no
+    minimal member kept before it: a proper subset is smaller, and lies above
+    some smaller minimal member.
     """
     first: dict[int, Element] = {}
     for e in members:
         first.setdefault(e.mask, e)
-    if closed_upward:
-        out = []
-        for mask, e in first.items():
-            probe = mask
-            while probe:
-                low = probe & -probe
-                probe ^= low
-                if (mask ^ low) in first:
-                    break
-            else:
-                out.append(e)
-        return out
     kept: list[int] = []
     for mask in sorted(first, key=int.bit_count):
         if all(k & mask != k for k in kept):

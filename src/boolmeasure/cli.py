@@ -52,6 +52,7 @@ from .fragmentation import (
 from .generators import gen_collection, gen_expander, gen_fragmentation, gen_measure, gen_submeasure
 from .intersection import intersection_number, intersection_number_bruteforce
 from .jsonio import (
+    ATOM_COUNT_CAP,
     InstanceFile,
     dumps_instance,
     element_to_json,
@@ -383,6 +384,9 @@ def _cmd_gen(args) -> int:
             raise InputError(f"--params values must be integers, got {item!r}") from None
 
     kind = args.kind
+    atom_count = params.get("p", 0) if kind == "expander" else args.atoms
+    if atom_count > ATOM_COUNT_CAP:
+        raise SizeError(f"atom_count {atom_count} exceeds the cap of {ATOM_COUNT_CAP}")
     if kind == "measure":
         inst = InstanceFile(
             args.atoms,

@@ -1,11 +1,13 @@
 """Fragmentations: nested, upward-closed levels covering the nonzero elements.
 
-A fragmentation is materialized as explicit level sets so that nestedness,
-upward closure, covering, gradedness, and antichain bounds are all directly
-checkable.  Gradedness ("whenever a union lands in a level, one part lands in
-the next") is checked over complemented splits of inclusion-minimal level
-members only; both reductions are sound given nestedness and upward closure
-and are validated against brute force in the test suite.
+A fragmentation holds explicit level sets.  Validation reads each level once
+as a 2^n-bit truth table whose bit ``mask`` marks membership, so nestedness,
+covering, upward closure and the minimal members take n big-integer
+operations per level, each a subset zeta transform step (Yates 1937).
+Gradedness ("whenever a union lands in a level, one part lands in the next")
+is checked over complemented splits of inclusion-minimal level members only;
+both reductions are sound given nestedness and upward closure and are
+validated against brute force in the test suite.
 
 Threshold families of a strictly positive measure or submeasure at 1/2^n are
 fragmentations, are graded, and have level antichains of size at most 2^n;
@@ -15,8 +17,11 @@ fragmentations, are graded, and have level antichains of size at most 2^n;
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache, reduce
+from operator import or_
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import (
@@ -64,6 +69,10 @@ class Fragmentation:
             raise InputError(f"level {n} does not exist (1..{len(self.levels)})")
         return self.levels[n - 1]
 
+    @cached_property
+    def _tables(self) -> tuple[int, ...]:
+        return _level_tables(self)
+
 
 @dataclass(frozen=True)
 class Submeasure:
@@ -106,29 +115,55 @@ class AntichainReport:
     witness: tuple[Element, ...]
 
 
-def _mask_sets(frag: Fragmentation) -> list[frozenset[int]]:
-    return [frozenset(e.mask for e in lv) for lv in frag.levels]
+@lru_cache(maxsize=32)
+def _lacking(atom_count: int) -> tuple[int, ...]:
+    """L_x for each atom x: the table of the masks that lack x."""
+    every = (1 << (1 << atom_count)) - 1
+    return tuple(every // ((1 << (2 << x)) - 1) * ((1 << (1 << x)) - 1) for x in range(atom_count))
 
 
-def _nested_upward_violation(
-    frag: Fragmentation, masks: list[frozenset[int]]
-) -> FragmentationViolation | None:
-    for n in range(len(masks) - 1):
-        if not masks[n] <= masks[n + 1]:
-            missing = min(
-                (e for e in frag.levels[n] if e.mask not in masks[n + 1]), key=canonical_key
-            )
-            return FragmentationViolation("nested", n + 1, (missing,))
-    bits = [1 << x for x in range(frag.space.atom_count)]
-    for n, lv in enumerate(frag.levels):
+def _level_tables(frag: Fragmentation) -> tuple[int, ...]:
+    """Each level as a 2^n-bit table whose bit ``mask`` marks membership."""
+    enumerate_nonzero(frag.space)  # refuses over the cap before any table is built
+    tables = []
+    for lv in frag.levels:
+        digits = bytearray(b"0") * (1 << frag.space.atom_count)
+        for e in lv:
+            digits[e.mask] = ord("1")
+        tables.append(int(digits[::-1], 2))
+    return tuple(tables)
+
+
+def _members(table: int, space: AtomSpace) -> list[Element]:
+    """The members of ``table`` in canonical order."""
+    found = re.finditer("1", f"{table:b}"[::-1])
+    return sorted((Element(space, m.start()) for m in found), key=canonical_key)
+
+
+def _nested_upward_violation(frag: Fragmentation) -> FragmentationViolation | None:
+    """Each check names the least canonical member of its violation table;
+    an upward escape pairs it with the least atom it escapes through."""
+    tables, space = frag._tables, frag.space
+    for n in range(len(tables) - 1):
+        missing = tables[n] & ~tables[n + 1]
+        if missing:
+            return FragmentationViolation("nested", n + 1, (_members(missing, space)[0],))
+    for n, table in enumerate(tables):
         # one-step covers suffice: upward closure fails iff some member plus
-        # a single atom escapes the level; sorting only names the first
-        escapes = [(e, e.mask | b) for e in lv for b in bits if (e.mask | b) not in masks[n]]
-        if escapes:
-            e = min((e for e, _ in escapes), key=canonical_key)
-            sup = next(sup for member, sup in escapes if member is e)
-            return FragmentationViolation("upward", n + 1, (e, Element(frag.space, sup)))
+        # a single atom escapes the level
+        escapes = [table & lx & ~(table >> (1 << x)) for x, lx in enumerate(_lacking(space.atom_count))]
+        if any(escapes):
+            e = _members(reduce(or_, escapes), space)[0]
+            x = next(x for x, esc in enumerate(escapes) if esc >> e.mask & 1)
+            return FragmentationViolation("upward", n + 1, (e, Element(space, e.mask | 1 << x)))
     return None
+
+
+def _minimal_members(table: int, space: AtomSpace) -> list[Element]:
+    """Minimal members of an upward-closed level table, in canonical order:
+    those no member one atom smaller lies below."""
+    above = ((table & lx) << (1 << x) for x, lx in enumerate(_lacking(space.atom_count)))
+    return _members(table & ~reduce(or_, above, 0), space)
 
 
 def _refuse(violation: FragmentationViolation | GradedWitness | None) -> None:
@@ -149,13 +184,11 @@ def _refuse(violation: FragmentationViolation | GradedWitness | None) -> None:
 
 def check_fragmentation(frag: Fragmentation) -> FragmentationReport:
     """Exhaustively verify nestedness, upward closure, and covering."""
-    elements = enumerate_nonzero(frag.space)  # refuses over the cap before any scan
-    masks = _mask_sets(frag)
-    violation = _nested_upward_violation(frag, masks)
-    if violation is None and len(masks[-1]) < len(elements):
+    violation = _nested_upward_violation(frag)  # refuses over the cap before any scan
+    uncovered = ((1 << (1 << frag.space.atom_count)) - 2) & ~frag._tables[-1]
+    if violation is None and uncovered:
         # the levels are nested, so the last one holds every member
-        missing = next(e for e in elements if e.mask not in masks[-1])
-        violation = FragmentationViolation("covering", frag.depth, (missing,))
+        violation = FragmentationViolation("covering", frag.depth, (_members(uncovered, frag.space)[0],))
     return FragmentationReport(violation is None, violation)
 
 
@@ -168,24 +201,14 @@ def require_valid(frag: Fragmentation, *, graded: bool) -> list[list[Element]]:
     :class:`FragmentationViolation` or :class:`GradedWitness` found.
     """
     _refuse(check_fragmentation(frag).violation)
-    mins = [_minimal_sorted(lv) for lv in frag.levels]
+    mins = [_minimal_members(table, frag.space) for table in frag._tables]
     if graded:
-        _refuse(_graded_witness(frag, _mask_sets(frag), mins))
+        _refuse(_graded_witness(frag, mins))
     return mins
 
 
-def _submasks_ascending(mask: int) -> list[int]:
-    subs = []
-    sub = mask
-    while sub:
-        subs.append(sub)
-        sub = (sub - 1) & mask
-    subs.reverse()
-    return subs
-
-
 def _graded_step_violation(
-    space: AtomSpace, minimal_members: Sequence[Element], next_masks: frozenset[int]
+    space: AtomSpace, minimal_members: Sequence[Element], next_table: int
 ) -> tuple[Element, Element] | None:
     """First (whole, part) whose complemented split misses the next level.
 
@@ -193,31 +216,24 @@ def _graded_step_violation(
     union c = a | b reduces to the split (a & c', c' - a) of a minimal c' <= c,
     and upward closure lifts the landing part back above a or b.
     """
+    landed = f"{next_table:0{1 << space.atom_count}b}"[::-1]  # character a is "1" iff a lands
     for c in minimal_members:
-        cmask = c.mask
-        if cmask.bit_count() < 2:
-            continue
-        for a in _submasks_ascending(cmask):
+        cmask, a = c.mask, 0
+        while True:
+            a = (a - cmask) & cmask  # the next submask, ascending
             b = cmask ^ a
             if a >= b:
                 break  # each unordered split once, smaller part named
-            if a not in next_masks and b not in next_masks:
+            if landed[a] == "0" and landed[b] == "0":
                 return c, Element(space, a)
     return None
 
 
-def _minimal_sorted(level: Iterable[Element]) -> list[Element]:
-    """Minimal members of an upward-closed level, in canonical order."""
-    return sorted(minimal_elements(level, closed_upward=True), key=canonical_key)
-
-
-def _graded_witness(
-    frag: Fragmentation, masks: list[frozenset[int]], mins: Iterable[list[Element]]
-) -> GradedWitness | None:
+def _graded_witness(frag: Fragmentation, mins: Iterable[list[Element]]) -> GradedWitness | None:
     """First gradedness failure of a nested, upward-closed fragmentation,
     given its levels' minimal members in canonical order."""
-    for n, level_mins in zip(range(len(frag.levels) - 1), mins):
-        hit = _graded_step_violation(frag.space, level_mins, masks[n + 1])
+    for n, level_mins in zip(range(frag.depth - 1), mins):
+        hit = _graded_step_violation(frag.space, level_mins, frag._tables[n + 1])
         if hit is not None:
             return GradedWitness(n + 1, *hit)
     return None
@@ -226,13 +242,12 @@ def _graded_witness(
 def check_graded(frag: Fragmentation) -> GradedReport:
     """Check gradedness level by level (the top level is exempt).
 
-    Requires nestedness and upward closure (covering is not needed and is not
-    demanded, so threshold-style partial fragmentations can be checked too);
-    raises :class:`ContractError` when those prerequisites fail.
+    Requires nestedness and upward closure, not covering, so threshold-style
+    partial fragmentations can be checked too; raises :class:`ContractError`
+    when those fail, and :class:`SizeError` over ``ENUMERATION_CAP`` atoms.
     """
-    masks = _mask_sets(frag)
-    _refuse(_nested_upward_violation(frag, masks))
-    witness = _graded_witness(frag, masks, map(_minimal_sorted, frag.levels))
+    _refuse(_nested_upward_violation(frag))
+    witness = _graded_witness(frag, (_minimal_members(t, frag.space) for t in frag._tables))
     return GradedReport(witness is None, witness)
 
 
@@ -244,7 +259,7 @@ def max_disjoint_family(members: Iterable[Element], space: AtomSpace) -> tuple[i
     fractional-packing LP bound floor(1/kappa).
     """
     return _max_disjoint_minimal(
-        sorted(minimal_elements(members, closed_upward=False), key=canonical_key), space
+        sorted(minimal_elements(members), key=canonical_key), space
     )
 
 
@@ -408,24 +423,18 @@ def extract_graded_subfragmentation(frag: Fragmentation) -> Fragmentation:
     members; a top level equal to B+ (appended when absent) always does, so
     the greedy step cannot fail.  The selected levels pass ``check_graded``.
     """
-    _refuse(_nested_upward_violation(frag, _mask_sets(frag)))
-    levels = list(frag.levels)
-    full = frozenset(enumerate_nonzero(frag.space))
-    if levels[-1] != full:
-        levels.append(full)
-    masks = [frozenset(e.mask for e in lv) for lv in levels]
+    _refuse(_nested_upward_violation(frag))
+    levels, tables, full = list(frag.levels), list(frag._tables), (1 << (1 << frag.space.atom_count)) - 2
+    if tables[-1] != full:
+        levels.append(frozenset(enumerate_nonzero(frag.space)))
+        tables.append(full)
 
     picks = [0]
-    cur = 0
-    while cur < len(levels) - 1:
-        mins = _minimal_sorted(levels[cur])
-        nxt = None
-        for k in range(cur + 1, len(levels)):
-            if _graded_step_violation(frag.space, mins, masks[k]) is None:
-                nxt = k
-                break
+    while picks[-1] < len(levels) - 1:
+        mins = _minimal_members(tables[picks[-1]], frag.space)
+        later = range(picks[-1] + 1, len(levels))
+        nxt = next((k for k in later if _graded_step_violation(frag.space, mins, tables[k]) is None), None)
         if nxt is None:
             raise ContractError("no absorbing level found; the top level must equal B+")
         picks.append(nxt)
-        cur = nxt
     return Fragmentation(frag.space, tuple(levels[i] for i in picks))

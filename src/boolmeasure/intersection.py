@@ -93,7 +93,7 @@ def intersection_number(collection: Collection) -> GameSolution:
     # Dropping duplicates and non-minimal members leaves the value unchanged:
     # shrinking a played member never increases any atom's load, and removing
     # members can only raise the value, so both reductions are exact.
-    reduced = minimal_elements(members, closed_upward=False)
+    reduced = minimal_elements(members)
     atoms_used = sorted({a for e in reduced for a in e.atoms})
     sol = exact_lp_solve([e.mask for e in reduced], atoms_used)
     tau = sol.objective
@@ -160,7 +160,7 @@ def intersection_number_bruteforce(collection: Collection, max_len: int) -> Frac
         distinct.setdefault(e.mask, e)
     pool = sorted(distinct.values(), key=canonical_key)
     u = len(pool)
-    total = sum(comb(u + length - 1, length) for length in range(1, max_len + 1))
+    total = comb(u + max_len, u) - 1  # sum of C(u + l - 1, l) over l = 1..max_len
     if total > BRUTEFORCE_BUDGET:
         raise SizeError(f"{total} multisets exceed the brute-force budget of {BRUTEFORCE_BUDGET}")
     atom_lists = [e.atoms for e in pool]

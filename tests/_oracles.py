@@ -4,10 +4,11 @@ Each routine here deliberately avoids the code path it checks: the LP oracle
 enumerates basic solutions instead of pivoting, the packing oracle runs a
 mask DP instead of branch and bound, the gradedness oracle enumerates
 every decomposition (overlapping ones included) instead of complemented
-splits of minimal members, the submeasure oracle adds ``Fraction``s over
-every ordered disjoint pair instead of integers over each unordered one, and
-the expansion oracles run over every index set instead of only the connected
-ones.
+splits of minimal members, the violation oracle scans ``Element`` sets
+instead of per-level truth tables, the submeasure oracle adds ``Fraction``s
+over every ordered disjoint pair instead of integers over each unordered
+one, and the expansion oracles run over every index set instead of only the
+connected ones.
 """
 
 from __future__ import annotations
@@ -120,6 +121,45 @@ def graded_by_full_decomposition(frag: Fragmentation) -> bool:
                     if a | b == cmask and a not in nxt and b not in nxt:
                         return False
     return True
+
+
+def minimal_by_definition(level) -> list[Element]:
+    """Members of ``level`` with no other member strictly below them."""
+    return [c for c in level if not any(d != c and d.mask & c.mask == d.mask for d in level)]
+
+
+def fragmentation_violation(frag: Fragmentation) -> tuple[str, int, tuple[Element, ...]] | None:
+    """The ``(kind, level, elements)`` violation a fragmentation check names.
+
+    Checks run in order: nestedness over every level, then upward closure
+    over every level, then covering.  Each names the least member in
+    canonical order (size, then atoms) of the first level that fails; an
+    upward violation pairs it with its union with the least atom that
+    leaves the level.
+    """
+    space = frag.space
+
+    def least(members):
+        return min(members, key=lambda e: (e.size, e.atoms))
+
+    for n in range(frag.depth - 1):
+        missing = [e for e in frag.levels[n] if e not in frag.levels[n + 1]]
+        if missing:
+            return "nested", n + 1, (least(missing),)
+    for n, level in enumerate(frag.levels):
+        escaping = [
+            e for e in level
+            if any(e.union(space.singleton(x)) not in level for x in range(space.atom_count))
+        ]
+        if escaping:
+            e = least(escaping)
+            x = min(x for x in range(space.atom_count) if e.union(space.singleton(x)) not in level)
+            return "upward", n + 1, (e, e.union(space.singleton(x)))
+    nonzero = map(space.from_mask, range(1, space.unit_mask + 1))
+    uncovered = [e for e in nonzero if e not in frag.levels[-1]]
+    if uncovered:
+        return "covering", frag.depth, (least(uncovered),)
+    return None
 
 
 def submeasure_violation(space: AtomSpace, values: Mapping[Element, Fraction]) -> str | None:

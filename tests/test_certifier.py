@@ -23,6 +23,8 @@ from boolmeasure.generators import gen_measure, gen_submeasure
 from boolmeasure.intersection import intersection_number, kappa_of_sequence
 from boolmeasure.measures import Measure, check_measure_axioms, measure_eval
 
+from _oracles import minimal_by_definition
+
 
 def test_select_parameters_examples():
     p1 = select_parameters(1, 100)
@@ -152,7 +154,7 @@ def test_certification_error_on_mislabeled_levels(monkeypatch):
     assert witness["kappa"] == intersection_number(Collection(frag.space, tuple(level))).value
     assert witness["K"] == K
     assert witness["bound"] == K + 1
-    by_size_then_atoms = sorted(_minimal_by_definition(level), key=lambda e: (len(e.atoms), e.atoms))
+    by_size_then_atoms = sorted(minimal_by_definition(level), key=lambda e: (len(e.atoms), e.atoms))
     assert list(witness["members"]) == by_size_then_atoms
     assert len(witness["member_weights"]) == len(witness["members"])
 
@@ -356,30 +358,26 @@ def count_calls(monkeypatch, module, name) -> list[int]:
 @pytest.mark.parametrize("atoms", [4, 6, 8, 10])
 def test_certify_fragmentation_analyses_each_level_once(monkeypatch, atoms):
     # each level's LP also bounds the antichain search two levels below, and
-    # levels past the last are the last level, so depth LPs suffice; each
-    # level is reduced and sorted once, by validation, and certify reuses it
+    # levels past the last are the last level, so depth LPs suffice;
+    # validation builds the level tables once, and certify reuses the
+    # minimal members it sorts
     frag = from_measure(gen_measure(atoms, 1))
     lp = count_calls(monkeypatch, intersection, "exact_lp_solve")
     scans = count_calls(monkeypatch, fragmentation, "_nested_upward_violation")
-    original_minimal, reductions = algebra.minimal_elements, [0]
+    tables = count_calls(monkeypatch, fragmentation, "_level_tables")
     original_key, keys = algebra.canonical_key, [0]
-
-    def counted_minimal(members, *, closed_upward):
-        reductions[0] += closed_upward
-        return original_minimal(members, closed_upward=closed_upward)
 
     def counted_key(e):
         keys[0] += 1
         return original_key(e)
 
     for module in (algebra, intersection, fragmentation, certify):
-        for name, counted in (("minimal_elements", counted_minimal), ("canonical_key", counted_key)):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted)
+        if hasattr(module, "canonical_key"):
+            monkeypatch.setattr(module, "canonical_key", counted_key)
     cert = certify_fragmentation(frag)
     assert lp[0] == frag.depth
     assert scans[0] == 1
-    assert reductions[0] == frag.depth
+    assert tables[0] == 1
     members = sum(len(level) for level in frag.levels)
     assert keys[0] <= members + sum(c.K for c in cert.level_certificates)
 
@@ -402,10 +400,6 @@ def test_cli_certify_certifies_once(monkeypatch, tmp_path, capsys):
         assert scans[0] == 1
 
 
-def _minimal_by_definition(level):
-    return [c for c in level if not any(d != c and d.mask & c.mask == d.mask for d in level)]
-
-
 @pytest.mark.parametrize("atoms", [4, 6])
 def test_certify_fragmentation_checks_each_member_once(monkeypatch, atoms):
     # the saddle-point check sees each minimal member of each level once; the
@@ -425,7 +419,7 @@ def test_certify_fragmentation_checks_each_member_once(monkeypatch, atoms):
     certify_fragmentation(frag)
     assert evals[0] == 0
     assert axioms[0] == 0
-    assert checked[0] == sum(len(_minimal_by_definition(level)) for level in frag.levels)
+    assert checked[0] == sum(len(minimal_by_definition(level)) for level in frag.levels)
 
 
 def test_certify_runs_to_the_enumeration_cap_and_refuses_past_it(monkeypatch, tmp_path, capsys):

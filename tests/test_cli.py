@@ -53,6 +53,24 @@ def test_gen_bad_params_exit_2():
                     "--params", "bogus=1"]).returncode == 2
 
 
+def test_gen_refuses_atom_counts_its_loader_refuses(tmp_path):
+    out = tmp_path / "wide.json"
+    for args in (["--kind", "measure", "--atoms", "10001"],
+                 ["--kind", "expander", "--params", "m=20,p=10001,k=3"]):
+        res = run_cli(["gen", *args, "--seed", "1", "--out", str(out)])
+        assert res.returncode == 2 and "exceeds the cap of 10000" in res.stderr
+        assert not out.exists()
+    res = run_cli(["gen", "--kind", "measure", "--atoms", "10000", "--seed", "1", "--out", str(out)])
+    assert res.returncode == 0 and json.loads(out.read_text())["atom_count"] == 10000
+
+
+def test_kappa_brute_refuses_a_huge_length_at_once(tmp_path):
+    path = write(tmp_path, "c.json", {"atom_count": 5, "collection": [[0, 1], [1, 2], [2, 3]]})
+    res = subprocess.run([sys.executable, "-m", "boolmeasure", "kappa", "--input", path,
+                          "--brute", "1000000000"], capture_output=True, text=True, timeout=10)
+    assert res.returncode == 2 and "brute-force budget" in res.stderr
+
+
 def test_kappa_singleton(tmp_path):
     path = write(tmp_path, "single.json", {"atom_count": 2, "collection": [[0, 1]]})
     res = run_cli(["kappa", "--input", path])

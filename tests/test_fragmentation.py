@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from boolmeasure import fragmentation, generators
-from boolmeasure.algebra import AtomSpace, enumerate_nonzero
+from boolmeasure.algebra import AtomSpace, canonical_key, enumerate_nonzero
 from boolmeasure.errors import ContractError, InputError, SizeError
 from boolmeasure.fragmentation import (
     Fragmentation,
@@ -18,11 +19,18 @@ from boolmeasure.fragmentation import (
     max_antichain,
     max_disjoint_family,
     minimal_elements,
+    require_valid,
 )
 from boolmeasure.generators import gen_measure, gen_submeasure
 from boolmeasure.measures import Measure, subset_sums
 
-from _oracles import graded_by_full_decomposition, max_packing_by_mask_dp, submeasure_violation
+from _oracles import (
+    fragmentation_violation,
+    graded_by_full_decomposition,
+    max_packing_by_mask_dp,
+    minimal_by_definition,
+    submeasure_violation,
+)
 
 
 def _random_measure(rng, n):
@@ -94,6 +102,47 @@ def test_covering_violation_witnessed():
     assert report.violation.elements[0] == sp.element([0])
 
 
+def _random_fragmentation(rng, n):
+    """A valid fragmentation with a member or two toggled and, now and then,
+    its full top level dropped: mostly invalid, in every way."""
+    frag = _random_valid_fragmentation(rng, n, levels=rng.randint(1, 4))
+    levels = [set(lv) for lv in frag.levels]
+    if len(levels) > 1 and rng.random() < 0.3:
+        levels.pop()
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        rng.choice(levels).symmetric_difference_update({frag.space.from_mask(rng.randint(1, 2**n - 1))})
+    return Fragmentation(frag.space, tuple(map(frozenset, levels)))
+
+
+def _named(violation):
+    return violation and (violation.kind, violation.level, violation.elements)
+
+
+def test_violations_and_minimal_members_match_definition():
+    # every check names the violation an Element-set scan names, and a valid
+    # fragmentation's minimal members are those of the definition
+    rng = random.Random(53)
+    kinds = Counter()
+    for _ in range(1500):
+        frag = _random_fragmentation(rng, rng.randint(1, 6))
+        expected = fragmentation_violation(frag)
+        kinds[expected[0] if expected else "valid"] += 1
+        assert _named(check_fragmentation(frag).violation) == expected
+        if expected is None:
+            assert require_valid(frag, graded=False) == [
+                sorted(minimal_by_definition(lv), key=lambda e: (e.size, e.atoms)) for lv in frag.levels
+            ]
+            continue
+        with pytest.raises(ContractError) as err:
+            require_valid(frag, graded=False)
+        assert _named(err.value.violation) == expected
+        if expected[0] != "covering":
+            with pytest.raises(ContractError) as err:
+                check_graded(frag)
+            assert _named(err.value.violation) == expected
+    assert min(kinds.values()) >= 100 and kinds["valid"] < 500, kinds
+
+
 def test_fragmentation_constructor_rejects_bad_levels():
     sp = AtomSpace(2)
     with pytest.raises(InputError):
@@ -109,6 +158,8 @@ def test_check_fragmentation_cap():
     frag = Fragmentation(sp, (frozenset([sp.unit]),))
     with pytest.raises(SizeError):
         check_fragmentation(frag)
+    with pytest.raises(SizeError, match="exceeds the cap of 16"):
+        check_graded(frag)
 
 
 def test_antichain_node_budget_refusal(monkeypatch):
@@ -190,9 +241,8 @@ def test_minimal_elements_agree_between_modes():
         sp = AtomSpace(rng.randint(2, 6))
         seeds = [sp.from_mask(rng.randint(1, sp.unit_mask)) for _ in range(rng.randint(1, 4))]
         family = _upward_close(sp, seeds)
-        fast = minimal_elements(family, closed_upward=True)
-        slow = minimal_elements(family, closed_upward=False)
-        assert fast == slow
+        validated = require_valid(Fragmentation(sp, (family, frozenset(enumerate_nonzero(sp)))), graded=False)
+        assert validated[0] == sorted(minimal_elements(family), key=canonical_key)
 
 
 def test_minimal_elements_general_mode_matches_definition():
@@ -209,7 +259,7 @@ def test_minimal_elements_general_mode_matches_definition():
             if e.mask not in seen and not proper_subset:
                 expected.append(e)
             seen.add(e.mask)
-        assert minimal_elements(family, closed_upward=False) == expected
+        assert minimal_elements(family) == expected
 
 
 def test_max_antichain_examples():

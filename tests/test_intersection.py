@@ -1,8 +1,9 @@
 import dataclasses
 import random
+import time
 from fractions import Fraction as F
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -93,8 +94,14 @@ def test_bruteforce_examples():
 def test_bruteforce_budget_refusal():
     sp = AtomSpace(5)
     coll = Collection(sp, tuple(sp.from_mask(m) for m in range(1, 21)))
-    with pytest.raises(SizeError):
+    total = sum(comb(20 + length - 1, length) for length in range(1, 13))
+    with pytest.raises(SizeError, match=f"^{total} multisets exceed"):
         intersection_number_bruteforce(coll, 12)
+    # the count is closed-form: a huge length refuses at once
+    started = time.perf_counter()
+    with pytest.raises(SizeError):
+        intersection_number_bruteforce(coll, 10**9)
+    assert time.perf_counter() - started < 1
 
 
 def test_empty_collection_rejected():
@@ -196,7 +203,7 @@ def test_optimal_basis_is_frozen():
 
     # level 1 of a near-uniform 8-atom measure: 55 minimal 4-sets, degenerate
     frag = from_measure(gen_measure(8, 3, max_weight=2))
-    mins = minimal_elements(sorted(frag.level(1), key=canonical_key), closed_upward=True)
+    mins = minimal_elements(sorted(frag.level(1), key=canonical_key))
     sol = intersection_number(Collection(frag.space, tuple(mins)))
     assert len(mins) == 55
     assert sol.value == F(1, 2)
@@ -210,7 +217,7 @@ def test_optimal_basis_is_frozen():
 def test_fourteen_atom_level_one_lp():
     # near-uniform weights make level 1 of 14 atoms wide and degenerate
     frag = from_measure(gen_measure(14, 1, max_weight=2))
-    mins = minimal_elements(sorted(frag.level(1), key=canonical_key), closed_upward=True)
+    mins = minimal_elements(sorted(frag.level(1), key=canonical_key))
     sol = intersection_number(Collection(frag.space, tuple(mins)))
     assert len(mins) == 2135
     assert sol.value == F(11, 21)
@@ -219,7 +226,7 @@ def test_fourteen_atom_level_one_lp():
 def _level_game(atoms, seed, max_weight, n) -> Collection:
     """Minimal members of level n of a generated measure's fragmentation."""
     frag = from_measure(gen_measure(atoms, seed, max_weight=max_weight))
-    mins = minimal_elements(sorted(frag.level(n), key=canonical_key), closed_upward=True)
+    mins = minimal_elements(sorted(frag.level(n), key=canonical_key))
     return Collection(frag.space, tuple(mins))
 
 
