@@ -100,14 +100,6 @@ class SignaturePartition:
     sequence: tuple[Element, ...]
     cells: Mapping[frozenset[int], Element]
 
-    def reconstruct(self, i: int) -> Element:
-        space = self.sequence[i].space
-        mask = 0
-        for sig, cell in self.cells.items():
-            if i in sig:
-                mask |= cell.mask
-        return Element(space, mask)
-
 
 def build_signature_partition(sequence: Sequence[Element]) -> SignaturePartition:
     seq = tuple(sequence)

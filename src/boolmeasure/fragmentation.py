@@ -1,9 +1,10 @@
 """Fragmentations: nested, upward-closed levels covering the nonzero elements.
 
-A fragmentation holds explicit level sets.  Validation reads each level once
-as a 2^n-bit truth table whose bit ``mask`` marks membership, so nestedness,
-covering, upward closure and the minimal members take n big-integer
-operations per level, each a subset zeta transform step (Yates 1937).
+Each level is read as a 2^n-bit truth table whose bit ``mask`` marks
+membership, so nestedness, covering, upward closure and the minimal members
+take n big-integer operations per level, each a subset zeta transform step
+(Yates 1937).  Level sets given by the caller are turned into tables once; the
+threshold cut and the graded extraction write tables and derive the sets.
 Gradedness ("whenever a union lands in a level, one part lands in the next")
 is checked over complemented splits of inclusion-minimal level members only;
 both reductions are sound given nestedness and upward closure and are
@@ -17,7 +18,7 @@ fragmentations, are graded, and have level antichains of size at most 2^n;
 from __future__ import annotations
 
 import math
-import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
@@ -71,7 +72,18 @@ class Fragmentation:
 
     @cached_property
     def _tables(self) -> tuple[int, ...]:
-        return _level_tables(self)
+        return tuple(_table(self.space, (e.mask for e in lv)) for lv in self.levels)
+
+
+def _of_tables(space: AtomSpace, tables: Sequence[int]) -> Fragmentation:
+    """The fragmentation of nested level ``tables``, seeded with them.  Level n
+    is level n-1 plus its band's members, the shared ``enumerate_nonzero``
+    elements, so the constructor's member checks hold and are skipped."""
+    frag, levels = object.__new__(Fragmentation), [frozenset()]
+    for below, table in zip([0, *tables], tables):
+        levels.append(levels[-1].union(_members(table & ~below, space)))
+    frag.__dict__.update(space=space, levels=tuple(levels[1:]), _tables=tuple(tables))
+    return frag
 
 
 @dataclass(frozen=True)
@@ -122,22 +134,19 @@ def _lacking(atom_count: int) -> tuple[int, ...]:
     return tuple(every // ((1 << (2 << x)) - 1) * ((1 << (1 << x)) - 1) for x in range(atom_count))
 
 
-def _level_tables(frag: Fragmentation) -> tuple[int, ...]:
-    """Each level as a 2^n-bit table whose bit ``mask`` marks membership."""
-    enumerate_nonzero(frag.space)  # refuses over the cap before any table is built
-    tables = []
-    for lv in frag.levels:
-        digits = bytearray(b"0") * (1 << frag.space.atom_count)
-        for e in lv:
-            digits[e.mask] = ord("1")
-        tables.append(int(digits[::-1], 2))
-    return tuple(tables)
+def _table(space: AtomSpace, masks: Iterable[int]) -> int:
+    """The 2^n-bit table whose bit ``mask`` is set for each of ``masks``."""
+    enumerate_nonzero(space)  # refuses over the cap before any table is built
+    digits = bytearray(b"0") * (1 << space.atom_count)
+    for mask in masks:
+        digits[mask] = ord("1")
+    return int(digits[::-1], 2)
 
 
 def _members(table: int, space: AtomSpace) -> list[Element]:
     """The members of ``table`` in canonical order."""
-    found = re.finditer("1", f"{table:b}"[::-1])
-    return sorted((Element(space, m.start()) for m in found), key=canonical_key)
+    bits = f"{table:0{1 << space.atom_count}b}"[::-1]
+    return [e for e in enumerate_nonzero(space) if bits[e.mask] == "1"]
 
 
 def _nested_upward_violation(frag: Fragmentation) -> FragmentationViolation | None:
@@ -331,19 +340,20 @@ def max_antichain(frag: Fragmentation, n: int, *, validate: bool = True) -> Anti
     return AntichainReport(n, *_max_disjoint_minimal(mins[n - 1], frag.space))
 
 
-def _threshold_levels(
-    space: AtomSpace, sums: Sequence[int], unit: int, elements: Sequence[Element]
-) -> Fragmentation:
-    """Levels C_n = {e : sums[e.mask] / unit >= 1/2^n}, down to the first
-    level that holds every singleton.  ``sums`` holds integers, so the test
-    sums[mask] << n >= unit reads sums[mask] >= ceil(unit / 2^n)."""
+def _threshold_levels(space: AtomSpace, sums: Sequence[int], unit: int) -> Fragmentation:
+    """Levels C_n = {mask : sums[mask] / unit >= 1/2^n}, down to the first
+    level that holds every singleton; level n is level n-1 plus the next band
+    of masks by sum, those with sums[mask] >= ceil(unit / 2^n)."""
+    order = sorted(range(1, space.unit_mask + 1), key=sums.__getitem__)
     minimum = min(sums[1 << x] for x in range(space.atom_count))
-    levels: list[frozenset[Element]] = []
+    tables, top = [0], len(order)
     bar = unit + 1  # above every value, so there is at least one level
     while minimum < bar:
-        bar = -(-unit >> (len(levels) + 1))
-        levels.append(frozenset(e for e in elements if sums[e.mask] >= bar))
-    return Fragmentation(space, tuple(levels))
+        bar = -(-unit >> len(tables))
+        cut = bisect_left(order, bar, hi=top, key=sums.__getitem__)
+        tables.append(tables[-1] | _table(space, order[cut:top]))
+        top = cut
+    return _of_tables(space, tables[1:])
 
 
 def from_measure(m: Measure) -> Fragmentation:
@@ -353,8 +363,8 @@ def from_measure(m: Measure) -> Fragmentation:
     """
     if not m.strictly_positive:
         raise InputError("threshold fragmentation needs a strictly positive measure")
-    elements = enumerate_nonzero(m.space)  # refuses before the 2^n table is built
-    return _threshold_levels(m.space, subset_sums(m.numerators), m.denominator, elements)
+    enumerate_nonzero(m.space)  # refuses before the 2^n table is built
+    return _threshold_levels(m.space, subset_sums(m.numerators), m.denominator)
 
 
 def check_submeasure(phi: Submeasure) -> tuple[list[int], int]:
@@ -412,7 +422,7 @@ def from_submeasure(phi: Submeasure) -> Fragmentation:
     phi(a | b) >= 1/2^n then one of phi(a), phi(b) is >= 1/2^(n+1).
     """
     table, unit = check_submeasure(phi)
-    return _threshold_levels(phi.space, table, unit, enumerate_nonzero(phi.space))
+    return _threshold_levels(phi.space, table, unit)
 
 
 def extract_graded_subfragmentation(frag: Fragmentation) -> Fragmentation:
@@ -424,17 +434,16 @@ def extract_graded_subfragmentation(frag: Fragmentation) -> Fragmentation:
     the greedy step cannot fail.  The selected levels pass ``check_graded``.
     """
     _refuse(_nested_upward_violation(frag))
-    levels, tables, full = list(frag.levels), list(frag._tables), (1 << (1 << frag.space.atom_count)) - 2
+    tables, full = list(frag._tables), (1 << (1 << frag.space.atom_count)) - 2
     if tables[-1] != full:
-        levels.append(frozenset(enumerate_nonzero(frag.space)))
         tables.append(full)
 
     picks = [0]
-    while picks[-1] < len(levels) - 1:
+    while picks[-1] < len(tables) - 1:
         mins = _minimal_members(tables[picks[-1]], frag.space)
-        later = range(picks[-1] + 1, len(levels))
+        later = range(picks[-1] + 1, len(tables))
         nxt = next((k for k in later if _graded_step_violation(frag.space, mins, tables[k]) is None), None)
         if nxt is None:
             raise ContractError("no absorbing level found; the top level must equal B+")
         picks.append(nxt)
-    return Fragmentation(frag.space, tuple(levels[i] for i in picks))
+    return _of_tables(frag.space, [tables[i] for i in picks])

@@ -16,6 +16,10 @@ from .expanders import ExpanderFamily, build_expander
 from .fragmentation import Fragmentation, Submeasure, from_measure
 from .measures import Measure, subset_sums
 
+#: ``gen_collection`` and ``gen_submeasure`` refuse larger counts before generating.
+COLLECTION_SIZE_CAP = 100_000
+SUBMEASURE_COMPONENT_CAP = 64
+
 
 def gen_measure(atom_count: int, seed: int, *, max_weight: int = 32) -> Measure:
     """A strictly positive measure with denominator at most atoms*max_weight."""
@@ -31,8 +35,8 @@ def gen_submeasure(
     atom_count: int, seed: int, *, components: int = 3, max_weight: int = 32
 ) -> Submeasure:
     """The pointwise maximum of a few random measures, tabulated."""
-    if components < 1:
-        raise InputError("components must be positive")
+    if not 1 <= components <= SUBMEASURE_COMPONENT_CAP:
+        raise InputError(f"components must be in 1..{SUBMEASURE_COMPONENT_CAP}, got {components}")
     space = AtomSpace(atom_count)
     elements = enumerate_nonzero(space)  # refuses before the 2^n tables are built
     tables = [
@@ -50,8 +54,8 @@ def gen_fragmentation(atom_count: int, seed: int, *, max_weight: int = 32) -> Fr
 
 def gen_collection(atom_count: int, seed: int, *, size: int = 6) -> Collection:
     """Uniformly random nonzero elements; repetition possible."""
-    if size < 1:
-        raise InputError("collection size must be positive")
+    if not 1 <= size <= COLLECTION_SIZE_CAP:
+        raise InputError(f"collection size must be in 1..{COLLECTION_SIZE_CAP}, got {size}")
     space = AtomSpace(atom_count)
     rng = random.Random(("collection", atom_count, seed, size).__repr__())
     members = tuple(space.from_mask(rng.randint(1, space.unit_mask)) for _ in range(size))

@@ -7,8 +7,10 @@ every decomposition (overlapping ones included) instead of complemented
 splits of minimal members, the violation oracle scans ``Element`` sets
 instead of per-level truth tables, the submeasure oracle adds ``Fraction``s
 over every ordered disjoint pair instead of integers over each unordered
-one, and the expansion oracles run over every index set instead of only the
-connected ones.
+one, the threshold oracle tests every element against every 1/2^n in
+``Fraction``s instead of cutting integer sums into truth tables, and the
+expansion oracles run over every index set instead of only the connected
+ones.  ``reconstruct`` reads a signature partition back into its members.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from itertools import combinations
 from typing import Mapping
 
 from boolmeasure.algebra import AtomSpace, Element
+from boolmeasure.certify import SignaturePartition
 from boolmeasure.expanders import ExpanderFamily
 from boolmeasure.fragmentation import Fragmentation
 
@@ -198,6 +201,26 @@ def submeasure_violation(space: AtomSpace, values: Mapping[Element, Fraction]) -
             if a & b == 0 and phi[a | b] > phi[a] + phi[b]:
                 return f"submeasure is not subadditive on disjoint masks {a:b}, {b:b}"
     return None
+
+
+def threshold_levels(values: Mapping[Element, Fraction]) -> list[frozenset[Element]]:
+    """The threshold levels {e : values[e] >= 1/2^n} of the nonzero elements
+    ``values`` names, for n = 1, 2, ... up to the first level holding every
+    one of them."""
+    levels: list[frozenset[Element]] = []
+    while not levels or len(levels[-1]) < len(values):
+        bar = Fraction(1, 2 ** (len(levels) + 1))
+        levels.append(frozenset(e for e, v in values.items() if v >= bar))
+    return levels
+
+
+def reconstruct(partition: SignaturePartition, i: int) -> Element:
+    """The union of the cells whose signature holds i: member i again."""
+    mask = 0
+    for sig, cell in partition.cells.items():
+        if i in sig:
+            mask |= cell.mask
+    return Element(partition.sequence[i].space, mask)
 
 
 def expansion_violation_bruteforce(family: ExpanderFamily) -> tuple[int, ...] | None:

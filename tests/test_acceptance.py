@@ -32,6 +32,8 @@ from boolmeasure.generators import gen_measure, gen_submeasure
 from boolmeasure.intersection import intersection_number, intersection_number_bruteforce
 from boolmeasure.measures import check_measure_axioms, measure_eval, measure_from_collection
 
+from _oracles import reconstruct
+
 
 def _line(num: int, ok: bool, detail: str) -> None:
     print(f"[criterion {num}] {'PASS' if ok else 'FAIL'} - {detail}")
@@ -200,7 +202,7 @@ def test_criterion_7_trace_identities():
             total += cell.size
         assert union == sp.unit_mask and total == sp.atom_count
         for i in range(len(seq)):
-            assert part.reconstruct(i) == seq[i]
+            assert reconstruct(part, i) == seq[i]
 
     members, frag = _pairwise_intersecting_fixture()
     traces = 0

@@ -23,7 +23,7 @@ from boolmeasure.generators import gen_measure, gen_submeasure
 from boolmeasure.intersection import intersection_number, kappa_of_sequence
 from boolmeasure.measures import Measure, check_measure_axioms, measure_eval
 
-from _oracles import minimal_by_definition
+from _oracles import minimal_by_definition, reconstruct
 
 
 def test_select_parameters_examples():
@@ -100,7 +100,7 @@ def test_signature_partition_identities_random():
             total += cell.size
         assert union == sp.unit_mask and total == sp.atom_count  # disjoint cover of 1
         for i in range(len(seq)):
-            assert part.reconstruct(i) == seq[i]
+            assert reconstruct(part, i) == seq[i]
 
 
 def _trivial_level_fragmentation():
@@ -358,13 +358,13 @@ def count_calls(monkeypatch, module, name) -> list[int]:
 @pytest.mark.parametrize("atoms", [4, 6, 8, 10])
 def test_certify_fragmentation_analyses_each_level_once(monkeypatch, atoms):
     # each level's LP also bounds the antichain search two levels below, and
-    # levels past the last are the last level, so depth LPs suffice;
-    # validation builds the level tables once, and certify reuses the
-    # minimal members it sorts
+    # levels past the last are the last level, so depth LPs suffice; the
+    # threshold cut hands validation its tables, so none is built from level
+    # sets, and certify reuses the minimal members validation finds
     frag = from_measure(gen_measure(atoms, 1))
     lp = count_calls(monkeypatch, intersection, "exact_lp_solve")
     scans = count_calls(monkeypatch, fragmentation, "_nested_upward_violation")
-    tables = count_calls(monkeypatch, fragmentation, "_level_tables")
+    tables = count_calls(monkeypatch, fragmentation, "_table")
     original_key, keys = algebra.canonical_key, [0]
 
     def counted_key(e):
@@ -377,7 +377,7 @@ def test_certify_fragmentation_analyses_each_level_once(monkeypatch, atoms):
     cert = certify_fragmentation(frag)
     assert lp[0] == frag.depth
     assert scans[0] == 1
-    assert tables[0] == 1
+    assert tables[0] == 0
     members = sum(len(level) for level in frag.levels)
     assert keys[0] <= members + sum(c.K for c in cert.level_certificates)
 

@@ -64,6 +64,23 @@ def test_gen_refuses_atom_counts_its_loader_refuses(tmp_path):
     assert res.returncode == 0 and json.loads(out.read_text())["atom_count"] == 10000
 
 
+def test_gen_refuses_huge_counts_before_generating(tmp_path):
+    # unbounded, a collection grows until memory runs out and each
+    # submeasure component costs a 2^n table
+    out = tmp_path / "huge.json"
+    for kind, params in (("collection", "size=1000000000"), ("submeasure", "components=1000000000"),
+                         ("collection", "size=100001"), ("submeasure", "components=65")):
+        res = subprocess.run([sys.executable, "-m", "boolmeasure", "gen", "--kind", kind, "--atoms", "2",
+                              "--seed", "1", "--params", params, "--out", str(out)],
+                             capture_output=True, text=True, timeout=10)
+        assert res.returncode == 2 and "error:" in res.stderr
+        assert not out.exists()
+    res = run_cli(["gen", "--kind", "collection", "--atoms", "2", "--seed", "1", "--params", "size=100000"])
+    assert res.returncode == 0 and len(json.loads(res.stdout)["collection"]) == 100_000
+    res = run_cli(["gen", "--kind", "submeasure", "--atoms", "2", "--seed", "1", "--params", "components=64"])
+    assert res.returncode == 0 and "submeasure" in json.loads(res.stdout)
+
+
 def test_kappa_brute_refuses_a_huge_length_at_once(tmp_path):
     path = write(tmp_path, "c.json", {"atom_count": 5, "collection": [[0, 1], [1, 2], [2, 3]]})
     res = subprocess.run([sys.executable, "-m", "boolmeasure", "kappa", "--input", path,

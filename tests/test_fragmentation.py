@@ -30,6 +30,7 @@ from _oracles import (
     max_packing_by_mask_dp,
     minimal_by_definition,
     submeasure_violation,
+    threshold_levels,
 )
 
 
@@ -399,6 +400,39 @@ def test_submeasure_threshold_cut_on_exact_boundaries():
         frozenset(e for e, v in values.items() if v >= F(1, 2**n)) for n in range(1, depth + 1)
     )
     assert from_submeasure(Submeasure(sp, values)).levels == expected
+
+
+def test_threshold_cut_matches_definition_and_shares_elements():
+    # the cut writes tables and derives the level sets: they are the levels
+    # by definition, their members are the enumeration's own elements, and
+    # a set-built copy has the same tables and extracts the same levels
+    rng = random.Random(83)
+    for i in range(320):
+        atoms, seed = rng.randint(1, 9), rng.randrange(1000)
+        if i % 2:
+            phi = gen_submeasure(atoms, seed, components=rng.randint(1, 4))
+            frag, values = from_submeasure(phi), phi.values
+        else:
+            m = gen_measure(atoms, seed, max_weight=rng.choice([1, 2, 32, 1000]))
+            frag = from_measure(m)
+            values = {e: sum(m.atom_weights[x] for x in e.atoms) for e in enumerate_nonzero(m.space)}
+        expected = threshold_levels(values)
+        assert frag.depth == len(expected)
+        assert list(frag.levels) == expected
+        canon = {e.mask: e for e in enumerate_nonzero(frag.space)}
+        assert all(e is canon[e.mask] for lv in frag.levels for e in lv)
+        copy = Fragmentation(frag.space, frag.levels)
+        assert copy == frag and copy._tables == frag._tables
+        assert extract_graded_subfragmentation(copy) == extract_graded_subfragmentation(frag)
+
+
+def test_table_built_copy_extracts_like_the_set_built_one():
+    rng = random.Random(89)
+    for _ in range(100):
+        frag = _random_valid_fragmentation(rng, rng.randint(1, 6), levels=rng.randint(1, 5))
+        copy = fragmentation._of_tables(frag.space, frag._tables)
+        assert copy == frag
+        assert extract_graded_subfragmentation(copy) == extract_graded_subfragmentation(frag)
 
 
 def test_extract_already_graded_unchanged():
