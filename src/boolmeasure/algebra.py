@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable
 
 from .errors import InputError, SizeError
@@ -145,9 +146,10 @@ def minimal_elements(members: Iterable[Element]) -> list[Element]:
 
 @lru_cache(maxsize=32)
 def _enumerate_cached(atom_count: int) -> tuple[Element, ...]:
-    space = AtomSpace(atom_count)
-    masks = sorted(range(1, space.unit_mask + 1), key=lambda m: canonical_key(Element(space, m)))
-    return tuple(Element(space, m) for m in masks)
+    space, atoms = AtomSpace(atom_count), range(atom_count)
+    # combinations of one size come out in lexicographic order
+    sets = (c for size in range(1, atom_count + 1) for c in combinations(atoms, size))
+    return tuple(Element(space, sum(1 << x for x in c)) for c in sets)
 
 
 def enumerate_nonzero(space: AtomSpace) -> tuple[Element, ...]:

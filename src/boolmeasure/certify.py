@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .algebra import Collection, Element, enumerate_nonzero
+from .algebra import Element, enumerate_nonzero
 from .errors import CertificationError, ContractError, InputError, InternalError
 from .expanders import ExpanderFamily, build_expander, choice_function
 from .fragmentation import (
@@ -32,7 +32,8 @@ from .fragmentation import (
     require_valid,
     search_disjoint_family,
 )
-from .intersection import GameSolution, SequenceScore, intersection_number, kappa_of_sequence
+from .intersection import GameSolution, SequenceScore, _solve, kappa_of_sequence
+from .intersection import intersection_number  # unused; bench/test_bench.py reads it here
 from .measures import Measure, combine_measures
 
 #: Sequences must be at least this factor times K^2 long for the replay.
@@ -358,25 +359,25 @@ class FragmentationCertificate:
 class _LevelAnalysis:
     """Each distinct level of one valid fragmentation, analysed at most once.
 
-    Lives for a single certify call, over the minimal members ``require_valid``
+    Lives for a single certify call, over the minimal masks ``require_valid``
     returned; levels past the last are the last, B+.  A level's minimal
     members feed one LP, and the LP's value kappa also bounds the level's
     antichain search, since a disjoint family of K members forces kappa <= 1/K.
     """
 
-    def __init__(self, frag: Fragmentation, mins: list[list[Element]]):
+    def __init__(self, frag: Fragmentation, mins: list[list[int]]):
         self.frag = frag
         self.mins = mins
         self._games: dict[int, GameSolution | None] = {}
         self._antichains: dict[int, tuple[int, tuple[Element, ...]]] = {}
 
-    def game(self, n: int) -> tuple[list[Element], GameSolution | None]:
-        """Minimal members of level n in canonical order, and the exact game
-        over them (None for an empty level)."""
+    def game(self, n: int) -> tuple[list[int], GameSolution | None]:
+        """Masks of the minimal members of level n in canonical order, and the
+        exact game over them (None for an empty level)."""
         key = min(n, self.frag.depth) - 1
         mins = self.mins[key]
         if key not in self._games:
-            self._games[key] = intersection_number(Collection(self.frag.space, tuple(mins))) if mins else None
+            self._games[key] = _solve(mins, mins, self.frag.space) if mins else None
         return mins, self._games[key]
 
     def antichain(self, n: int) -> AntichainReport:
@@ -405,7 +406,7 @@ class _LevelAnalysis:
                     "bound": bound,
                     "K": antichain.size,
                     "member_weights": solution.member_weights,
-                    "members": tuple(mins),
+                    "members": tuple(Element(space, mask) for mask in mins),
                 },
             )
         # the saddle-point check gave m(c) >= kappa on the minimal members; every

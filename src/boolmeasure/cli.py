@@ -21,7 +21,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .algebra import canonical_key
 from .certify import (
     ProofTrace,
     _replay,
@@ -276,7 +275,7 @@ def _cmd_certify(args) -> int:
             }
         level_reports.append(entry)
         if args.trace and cert.kappa is not None:
-            members = sorted(frag.level(cert.level), key=canonical_key)
+            members = frag.canonical_level(cert.level)
             length = minimum_sequence_length(cert.K)
             sequence = [members[i % len(members)] for i in range(length)]
             # frag passed validation and the sequence comes from the level, so

@@ -28,14 +28,13 @@ from typing import Iterable, Mapping, Sequence
 from .algebra import (
     ENUMERATION_CAP,
     AtomSpace,
-    Collection,
     Element,
     canonical_key,
     enumerate_nonzero,
     minimal_elements,
 )
 from .errors import ContractError, InputError, SizeError
-from .intersection import intersection_number, over_common_denominator
+from .intersection import _solve, over_common_denominator
 from .measures import Measure, subset_sums
 
 #: Node budget for the exact maximum-antichain search.
@@ -69,6 +68,11 @@ class Fragmentation:
         if not 1 <= n <= len(self.levels):
             raise InputError(f"level {n} does not exist (1..{len(self.levels)})")
         return self.levels[n - 1]
+
+    def canonical_level(self, n: int) -> list[Element]:
+        """Level C_n in canonical order, read off its table."""
+        self.level(n)  # refuses a level that does not exist
+        return _members(self._tables[n - 1], self.space)
 
     @cached_property
     def _tables(self) -> tuple[int, ...]:
@@ -168,11 +172,11 @@ def _nested_upward_violation(frag: Fragmentation) -> FragmentationViolation | No
     return None
 
 
-def _minimal_members(table: int, space: AtomSpace) -> list[Element]:
-    """Minimal members of an upward-closed level table, in canonical order:
-    those no member one atom smaller lies below."""
+def _minimal_members(table: int, space: AtomSpace) -> list[int]:
+    """Masks of the minimal members of an upward-closed level table, in
+    canonical order: those no member one atom smaller lies below."""
     above = ((table & lx) << (1 << x) for x, lx in enumerate(_lacking(space.atom_count)))
-    return _members(table & ~reduce(or_, above, 0), space)
+    return [e.mask for e in _members(table & ~reduce(or_, above, 0), space)]
 
 
 def _refuse(violation: FragmentationViolation | GradedWitness | None) -> None:
@@ -201,11 +205,11 @@ def check_fragmentation(frag: Fragmentation) -> FragmentationReport:
     return FragmentationReport(violation is None, violation)
 
 
-def require_valid(frag: Fragmentation, *, graded: bool) -> list[list[Element]]:
+def require_valid(frag: Fragmentation, *, graded: bool) -> list[list[int]]:
     """The one validation path: nestedness, upward closure and covering, then
     gradedness when ``graded`` is set.
 
-    Returns each level's minimal members in canonical order.  Raises
+    Returns the masks of each level's minimal members in canonical order.  Raises
     :class:`ContractError` whose ``violation`` is the first
     :class:`FragmentationViolation` or :class:`GradedWitness` found.
     """
@@ -217,7 +221,7 @@ def require_valid(frag: Fragmentation, *, graded: bool) -> list[list[Element]]:
 
 
 def _graded_step_violation(
-    space: AtomSpace, minimal_members: Sequence[Element], next_table: int
+    space: AtomSpace, minimal_members: Sequence[int], next_table: int
 ) -> tuple[Element, Element] | None:
     """First (whole, part) whose complemented split misses the next level.
 
@@ -226,21 +230,21 @@ def _graded_step_violation(
     and upward closure lifts the landing part back above a or b.
     """
     landed = f"{next_table:0{1 << space.atom_count}b}"[::-1]  # character a is "1" iff a lands
-    for c in minimal_members:
-        cmask, a = c.mask, 0
+    for cmask in minimal_members:
+        a = 0
         while True:
             a = (a - cmask) & cmask  # the next submask, ascending
             b = cmask ^ a
             if a >= b:
                 break  # each unordered split once, smaller part named
             if landed[a] == "0" and landed[b] == "0":
-                return c, Element(space, a)
+                return Element(space, cmask), Element(space, a)
     return None
 
 
-def _graded_witness(frag: Fragmentation, mins: Iterable[list[Element]]) -> GradedWitness | None:
+def _graded_witness(frag: Fragmentation, mins: Iterable[list[int]]) -> GradedWitness | None:
     """First gradedness failure of a nested, upward-closed fragmentation,
-    given its levels' minimal members in canonical order."""
+    given the masks of its levels' minimal members in canonical order."""
     for n, level_mins in zip(range(frag.depth - 1), mins):
         hit = _graded_step_violation(frag.space, level_mins, frag._tables[n + 1])
         if hit is not None:
@@ -267,44 +271,40 @@ def max_disjoint_family(members: Iterable[Element], space: AtomSpace) -> tuple[i
     onto minimal members without losing size), capped at the root by the
     fractional-packing LP bound floor(1/kappa).
     """
-    return _max_disjoint_minimal(
-        sorted(minimal_elements(members), key=canonical_key), space
-    )
+    cands = sorted(minimal_elements(members), key=canonical_key)
+    return _max_disjoint_minimal([e.mask for e in cands], space)
 
 
-def _max_disjoint_minimal(
-    cands: Sequence[Element], space: AtomSpace
-) -> tuple[int, tuple[Element, ...]]:
-    """``max_disjoint_family`` of distinct minimal members in canonical order."""
+def _max_disjoint_minimal(cands: list[int], space: AtomSpace) -> tuple[int, tuple[Element, ...]]:
+    """``max_disjoint_family`` of distinct minimal masks in canonical order."""
     if not cands:
         return 0, ()
     bound = len(cands)
     if space.atom_count <= ENUMERATION_CAP:  # keeps the LP off very wide atom spaces
-        bound = math.floor(1 / intersection_number(Collection(space, tuple(cands))).value)
+        bound = math.floor(1 / _solve(cands, cands, space).value)
     return search_disjoint_family(cands, space, bound)
 
 
 def search_disjoint_family(
-    cands: Sequence[Element], space: AtomSpace, bound: int
+    cands: Sequence[int], space: AtomSpace, bound: int
 ) -> tuple[int, tuple[Element, ...]]:
     """Largest pairwise-disjoint subfamily of ``cands``, by branch and bound.
 
-    ``cands`` are distinct inclusion-minimal members in canonical order and
-    ``bound`` an upper bound on the answer, such as floor(1/kappa) of the
-    family; the search stops as soon as a family reaches it.
+    ``cands`` are distinct inclusion-minimal masks in canonical order, and so
+    is the witness; ``bound`` is an upper bound on the answer, such as
+    floor(1/kappa) of the family: the search stops once a family reaches it.
     """
-    masks = [e.mask for e in cands]
-    best: tuple[Element, ...] = ()
+    best: tuple[int, ...] = ()
     used = 0
-    for e in cands:  # greedy incumbent, smallest members first
-        if e.mask & used == 0:
-            best = best + (e,)
-            used |= e.mask
+    for mask in cands:  # greedy incumbent, smallest members first
+        if mask & used == 0:
+            best = best + (mask,)
+            used |= mask
     ub = min(len(cands), bound)
 
     if len(best) < ub:
         nodes = 0
-        stack: list[tuple[int, int, tuple[Element, ...]]] = [(0, 0, ())]
+        stack: list[tuple[int, int, tuple[int, ...]]] = [(0, 0, ())]
         while stack:
             i, used, chosen = stack.pop()
             nodes += 1
@@ -321,14 +321,13 @@ def search_disjoint_family(
             if len(chosen) + (len(cands) - i) <= len(best):
                 continue
             free = space.atom_count - used.bit_count()
-            if len(chosen) + free // masks[i].bit_count() <= len(best):
+            if len(chosen) + free // cands[i].bit_count() <= len(best):
                 continue  # members from i on are at least this large
             stack.append((i + 1, used, chosen))
-            if masks[i] & used == 0:
-                stack.append((i + 1, used | masks[i], chosen + (cands[i],)))
+            if cands[i] & used == 0:
+                stack.append((i + 1, used | cands[i], chosen + (cands[i],)))
 
-    witness = tuple(sorted(best, key=canonical_key))
-    return len(witness), witness
+    return len(best), tuple(Element(space, mask) for mask in best)
 
 
 def max_antichain(frag: Fragmentation, n: int, *, validate: bool = True) -> AntichainReport:

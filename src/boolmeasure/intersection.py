@@ -19,7 +19,7 @@ from itertools import combinations_with_replacement
 from math import comb, lcm
 from typing import Sequence
 
-from .algebra import Collection, Element, canonical_key, minimal_elements
+from .algebra import AtomSpace, Collection, Element, canonical_key, minimal_elements
 from .errors import InputError, InternalError, SizeError
 from .simplex import exact_lp_solve
 
@@ -89,33 +89,34 @@ def intersection_number(collection: Collection) -> GameSolution:
     members = collection.members
     if not members:
         raise InputError("collection must be nonempty")
-    space = collection.space
     # Dropping duplicates and non-minimal members leaves the value unchanged:
     # shrinking a played member never increases any atom's load, and removing
     # members can only raise the value, so both reductions are exact.
-    reduced = minimal_elements(members)
-    atoms_used = sorted({a for e in reduced for a in e.atoms})
-    sol = exact_lp_solve([e.mask for e in reduced], atoms_used)
+    reduced = [e.mask for e in minimal_elements(members)]
+    return _solve([e.mask for e in members], reduced, collection.space)
+
+
+def _solve(members: Sequence[int], minimal: list[int], space: AtomSpace) -> GameSolution:
+    """The game over the ``members`` masks by the packing LP over ``minimal``,
+    their distinct inclusion-minimal masks, each weighted at its first
+    occurrence in ``members``; the saddle-point check covers all ``members``."""
+    atoms_used = [x for x in range(space.atom_count) if any(mask >> x & 1 for mask in minimal)]
+    sol = exact_lp_solve(minimal, atoms_used)
     tau = sol.objective
     if tau <= 0:
         raise InternalError("packing optimum must be positive for a nonempty collection")
     kappa = 1 / tau
 
-    first_index: dict[int, int] = {}
-    for i, e in enumerate(members):
-        first_index.setdefault(e.mask, i)
-    member_weights = [Fraction(0)] * len(members)
-    for e, y in zip(reduced, sol.variables):
-        member_weights[first_index[e.mask]] = y * kappa
-    atom_weights = [Fraction(0)] * space.atom_count
-    for x, d in zip(atoms_used, sol.duals):
-        atom_weights[x] = d * kappa
+    weight = dict(zip(minimal, sol.variables))  # each popped at its first occurrence
+    member_weights = [weight.pop(mask, 0) * kappa for mask in members]
+    price = dict(zip(atoms_used, sol.duals))
+    atom_weights = [price.get(x, 0) * kappa for x in range(space.atom_count)]
 
-    _check_game_solution(members, space, kappa, atom_weights, member_weights)
+    _check_game_solution(members, kappa, atom_weights, member_weights)
     return GameSolution(kappa, tuple(atom_weights), tuple(member_weights))
 
 
-def _check_game_solution(members, space, kappa, atom_weights, member_weights) -> None:
+def _check_game_solution(members, kappa, atom_weights, member_weights) -> None:
     # Exact saddle-point identities in integers: each strategy vector is taken
     # over the least common denominator D of its entries, so its sums are
     # integers and each is compared with kappa * D.  A failure is a solver bug.
@@ -125,14 +126,11 @@ def _check_game_solution(members, space, kappa, atom_weights, member_weights) ->
         raise InternalError("strategy vectors must sum to one")
     if any(v < 0 for v in prices) or any(v < 0 for v in plays):
         raise InternalError("strategy vectors must be nonnegative")
-    if min(sum(prices[a] for a in e.atoms) for e in members) != kappa * price_unit:
+    priced = [(x, p) for x, p in enumerate(prices) if p]
+    if min(sum(p for x, p in priced if mask >> x & 1) for mask in members) != kappa * price_unit:
         raise InternalError("atom-side optimum does not guarantee the game value")
-    loads = [0] * space.atom_count
-    for e, w in zip(members, plays):
-        if w:
-            for a in e.atoms:
-                loads[a] += w
-    if max(loads) != kappa * play_unit:
+    played = [(mask, w) for mask, w in zip(members, plays) if w]
+    if max(sum(w for mask, w in played if mask >> x & 1) for x in range(len(prices))) != kappa * play_unit:
         raise InternalError("member-side optimum does not achieve the game value")
 
 

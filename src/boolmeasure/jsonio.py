@@ -222,6 +222,6 @@ def load_instance(path: str) -> InstanceFile:
             data = json.load(fh, object_pairs_hook=_refuse_repeated_keys)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from None
     return instance_from_json(data)

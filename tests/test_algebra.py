@@ -47,7 +47,7 @@ def test_element_validation():
     assert sp.element([1, 1, 0]).atoms == (0, 1)
 
 
-@pytest.mark.parametrize("n,count", [(1, 1), (2, 3), (3, 7), (4, 15)])
+@pytest.mark.parametrize("n,count", [(1, 1), (2, 3), (3, 7), (4, 15), (5, 31), (12, 4095)])
 def test_enumerate_counts(n, count):
     elems = enumerate_nonzero(AtomSpace(n))
     assert len(elems) == count

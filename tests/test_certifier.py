@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from boolmeasure import algebra, certify, fragmentation, intersection, measures
+from boolmeasure import algebra, certify, cli, fragmentation, intersection, measures
 from boolmeasure.algebra import AtomSpace, Collection, enumerate_nonzero
 from boolmeasure.certify import (
     build_signature_partition,
@@ -355,31 +355,39 @@ def count_calls(monkeypatch, module, name) -> list[int]:
     return calls
 
 
+def count_everywhere(monkeypatch, name) -> list[int]:
+    """Count the calls of algebra.name, at every module that binds it."""
+    original, calls = getattr(algebra, name), [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for module in (algebra, intersection, fragmentation, certify, cli):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("atoms", [4, 6, 8, 10])
 def test_certify_fragmentation_analyses_each_level_once(monkeypatch, atoms):
     # each level's LP also bounds the antichain search two levels below, and
     # levels past the last are the last level, so depth LPs suffice; the
     # threshold cut hands validation its tables, so none is built from level
-    # sets, and certify reuses the minimal members validation finds
+    # sets, and certify works on the minimal-member masks validation finds:
+    # nothing reduces or sorts a level again
     frag = from_measure(gen_measure(atoms, 1))
     lp = count_calls(monkeypatch, intersection, "exact_lp_solve")
     scans = count_calls(monkeypatch, fragmentation, "_nested_upward_violation")
     tables = count_calls(monkeypatch, fragmentation, "_table")
-    original_key, keys = algebra.canonical_key, [0]
-
-    def counted_key(e):
-        keys[0] += 1
-        return original_key(e)
-
-    for module in (algebra, intersection, fragmentation, certify):
-        if hasattr(module, "canonical_key"):
-            monkeypatch.setattr(module, "canonical_key", counted_key)
+    keys = count_everywhere(monkeypatch, "canonical_key")
+    reductions = count_everywhere(monkeypatch, "minimal_elements")
     cert = certify_fragmentation(frag)
     assert lp[0] == frag.depth
     assert scans[0] == 1
     assert tables[0] == 0
-    members = sum(len(level) for level in frag.levels)
-    assert keys[0] <= members + sum(c.K for c in cert.level_certificates)
+    assert reductions[0] == 0
+    assert keys[0] <= sum(c.K for c in cert.level_certificates)
 
 
 def test_cli_certify_certifies_once(monkeypatch, tmp_path, capsys):
@@ -398,6 +406,21 @@ def test_cli_certify_certifies_once(monkeypatch, tmp_path, capsys):
         assert len(report.get("traces", [])) == (depth if trace else 0)
         assert lp[0] == depth
         assert scans[0] == 1
+
+
+def test_cli_certify_trace_reads_levels_in_enumeration_order(monkeypatch, tmp_path, capsys):
+    # each trace's sequence is read off the level's table in the enumeration's
+    # order, so neither certify nor the traces sort or reduce a level
+    path = str(tmp_path / "m.json")
+    assert main(["gen", "--kind", "measure", "--atoms", "8", "--seed", "1", "--out", path]) == 0
+    keys = count_everywhere(monkeypatch, "canonical_key")
+    reductions = count_everywhere(monkeypatch, "minimal_elements")
+    capsys.readouterr()
+    assert main(["certify", "--input", path, "--trace"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["traces"]) == len(report["levels"])
+    assert reductions[0] == 0
+    assert keys[0] <= sum(level["K"] for level in report["levels"])
 
 
 @pytest.mark.parametrize("atoms", [4, 6])

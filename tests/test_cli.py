@@ -174,6 +174,16 @@ def test_kappa_input_errors_exit_2(tmp_path):
     assert run_cli(["kappa", "--input", empty]).returncode == 2
 
 
+def test_input_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"atom_count": 2}'.encode("utf-16-le"))
+    assert main(["check-frag", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed JSON in ")
+    assert "can't decode byte 0xff" in captured.err
+
+
 def test_oversized_atom_count_exits_2_at_once(tmp_path, capsys):
     # a 50-byte file must not make the per-atom reports millions of entries long
     path = write(tmp_path, "wide.json", {"atom_count": 3000000, "collection": [[0], [1]]})
