@@ -87,25 +87,6 @@ class Element:
         _require_same_space(self, other)
         return Element(self.space, self.mask | other.mask)
 
-    def intersection(self, other: "Element") -> "Element":
-        _require_same_space(self, other)
-        return Element(self.space, self.mask & other.mask)
-
-    def complement(self) -> "Element":
-        return Element(self.space, self.space.unit_mask & ~self.mask)
-
-    def difference(self, other: "Element") -> "Element":
-        _require_same_space(self, other)
-        return Element(self.space, self.mask & ~other.mask)
-
-    def leq(self, other: "Element") -> bool:
-        _require_same_space(self, other)
-        return self.mask & ~other.mask == 0
-
-    def disjoint(self, other: "Element") -> bool:
-        _require_same_space(self, other)
-        return self.mask & other.mask == 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Element({set(self.atoms) if self.mask else '{}'} of {self.space.atom_count})"
 
@@ -178,6 +159,3 @@ class Collection:
                 raise InputError("collection member belongs to a different atom space")
             if m.is_zero:
                 raise InputError("collection members must be nonzero")
-
-    def __len__(self) -> int:
-        return len(self.members)

@@ -438,10 +438,7 @@ def certify_fragmentation(frag: Fragmentation) -> FragmentationCertificate:
     """
     analysis = _LevelAnalysis(frag, require_valid(frag, graded=True))
     certs = tuple(analysis.certify(n) for n in range(1, frag.depth + 1))
-    pairs = [
-        (cert.measure, cert.kappa if cert.kappa is not None else Fraction(1)) for cert in certs
-    ]
-    blended = combine_measures(pairs, frag, check=False)  # each certify proved m_n >= kappa_n
+    blended = combine_measures([cert.measure for cert in certs])  # each proved m_n >= kappa_n
     if not blended.strictly_positive:
         raise InternalError("covering plus per-level bounds must force strict positivity")
     return FragmentationCertificate(certs, blended)

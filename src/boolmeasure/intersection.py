@@ -19,12 +19,17 @@ from itertools import combinations_with_replacement
 from math import comb, lcm
 from typing import Sequence
 
-from .algebra import AtomSpace, Collection, Element, canonical_key, minimal_elements
+from .algebra import AtomSpace, Collection, Element, minimal_elements
 from .errors import InputError, InternalError, SizeError
 from .simplex import exact_lp_solve
 
 #: Cap on the number of multisets the brute-force search will visit.
 BRUTEFORCE_BUDGET = 2_000_000
+
+#: Cap on the packing LP's tableau, rows x (rows + columns) cells.  It admits
+#: every LP of 16 atoms or fewer (at most 16 x (16 + 12,870)) and the
+#: 1,965 x 1,971 tableau of a 2,000-atom collection of 6 members.
+LP_CELL_BUDGET = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -101,6 +106,12 @@ def _solve(members: Sequence[int], minimal: list[int], space: AtomSpace) -> Game
     their distinct inclusion-minimal masks, each weighted at its first
     occurrence in ``members``; the saddle-point check covers all ``members``."""
     atoms_used = [x for x in range(space.atom_count) if any(mask >> x & 1 for mask in minimal)]
+    rows, columns = len(atoms_used), len(minimal)
+    if rows * (rows + columns) > LP_CELL_BUDGET:
+        raise SizeError(
+            f"a packing LP of {rows} atoms and {columns} members exceeds the budget of "
+            f"{LP_CELL_BUDGET} tableau cells"
+        )
     sol = exact_lp_solve(minimal, atoms_used)
     tau = sol.objective
     if tau <= 0:
@@ -153,15 +164,11 @@ def intersection_number_bruteforce(collection: Collection, max_len: int) -> Frac
         raise InputError("collection must be nonempty")
     if max_len < 1:
         raise InputError("max_len must be at least 1")
-    distinct: dict[int, Element] = {}
-    for e in members:
-        distinct.setdefault(e.mask, e)
-    pool = sorted(distinct.values(), key=canonical_key)
-    u = len(pool)
+    atom_lists = [e.atoms for e in {e.mask: e for e in members}.values()]
+    u = len(atom_lists)
     total = comb(u + max_len, u) - 1  # sum of C(u + l - 1, l) over l = 1..max_len
     if total > BRUTEFORCE_BUDGET:
         raise SizeError(f"{total} multisets exceed the brute-force budget of {BRUTEFORCE_BUDGET}")
-    atom_lists = [e.atoms for e in pool]
     best: Fraction | None = None
     for length in range(1, max_len + 1):
         for combo in combinations_with_replacement(range(u), length):

@@ -9,7 +9,7 @@ tests and axiom checks compare Python integers and build at most one
 ``Fraction`` per reported value.  ``measure_from_collection`` turns a
 positive intersection number into a measure bounding the collection from
 below (Kelley's theorem, realized here as the finite LP dual rather than via
-Hahn-Banach).  ``combine_measures`` merges per-level measures across a
+Hahn-Banach).  ``combine_measures`` blends per-level measures across a
 covering fragmentation into a strictly positive one.
 """
 
@@ -18,14 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .algebra import AtomSpace, Collection, Element, enumerate_nonzero
 from .errors import ContractError, InputError, SizeError
 from .intersection import intersection_number, over_common_denominator
-
-if TYPE_CHECKING:  # avoid a runtime import cycle with fragmentation
-    from .fragmentation import Fragmentation
 
 #: ``check_measure_axioms`` enumerates 3^n disjoint pairs; it refuses beyond this.
 AXIOM_CHECK_CAP = 12
@@ -80,48 +77,26 @@ def measure_from_collection(collection: Collection) -> tuple[Measure, Fraction]:
     return Measure(collection.space, sol.atom_weights), sol.value
 
 
-def combine_measures(
-    levels: Sequence[tuple[Measure, Fraction]],
-    fragmentation: "Fragmentation",
-    *,
-    check: bool = True,
-) -> Measure:
-    """Blend per-level measures with weights 2^-n into a strictly positive one.
+def combine_measures(measures: Sequence[Measure]) -> Measure:
+    """Blend level measures m_1, ..., m_N into sum_n 2^-n m_n / sum_n 2^-n.
 
-    Requires ``m_n(c) >= kappa_n > 0`` on level n for every n (checked
-    exhaustively against the explicit level sets unless ``check`` is off).
-    Because the levels cover B+, every nonzero element picks up weight from
-    some level, so the result is strictly positive whenever the fragmentation
-    is covering.
+    When each m_n is positive on level n of a covering fragmentation, every
+    nonzero element picks up weight from some level, so the blend is strictly
+    positive.  Those level bounds are for the level certificates to prove;
+    the blend does not check them.
     """
-    if not levels:
+    if not measures:
         raise InputError("at least one level measure is required")
-    if len(levels) != len(fragmentation.levels):
-        raise InputError(
-            f"{len(levels)} measures supplied for {len(fragmentation.levels)} levels"
-        )
-    space = fragmentation.space
-    for n, ((m_n, kappa_n), level) in enumerate(zip(levels, fragmentation.levels), start=1):
-        if m_n.space != space:
-            raise InputError(f"measure for level {n} lives on a different atom space")
-        if not check:
-            continue
-        if kappa_n <= 0:
-            raise ContractError(f"level {n} bound must be positive, got {kappa_n}")
-        for c in level:
-            if measure_eval(m_n, c) < kappa_n:
-                raise ContractError(
-                    f"level {n} measure gives {measure_eval(m_n, c)} < {kappa_n} "
-                    f"on member with atoms {c.atoms}"
-                )
-    # sum_n 2^-n m_n(x) / sum_n 2^-n, in integers over the common denominator
-    # (2^N - 1) * lcm(D_n) of N levels
-    depth = len(levels)
-    common = lcm(*(m_n.denominator for m_n, _ in levels))
-    scales = [(common // m_n.denominator) << (depth - n) for n, (m_n, _) in enumerate(levels, 1)]
+    space = measures[0].space
+    if any(m_n.space != space for m_n in measures):
+        raise InputError("the level measures live on different atom spaces")
+    # in integers over the common denominator (2^N - 1) * lcm(D_n) of N levels
+    depth = len(measures)
+    common = lcm(*(m_n.denominator for m_n in measures))
+    scales = [(common // m_n.denominator) << (depth - n) for n, m_n in enumerate(measures, 1)]
     total = common * ((1 << depth) - 1)
     weights = [
-        Fraction(sum(s * m_n.numerators[x] for s, (m_n, _) in zip(scales, levels)), total)
+        Fraction(sum(s * m_n.numerators[x] for s, m_n in zip(scales, measures)), total)
         for x in range(space.atom_count)
     ]
     return Measure(space, tuple(weights))
@@ -147,7 +122,8 @@ def check_measure_axioms(m: Measure) -> None:
 
     Positivity here means ``m(a) > 0`` for every nonzero ``a``; raises
     :class:`ContractError` on the first violation found.  An independent
-    oracle: no library path calls it.
+    oracle: no library path calls it, and it stays in the library because
+    the benchmark traces it.
     """
     if m.space.atom_count > AXIOM_CHECK_CAP:
         raise SizeError(

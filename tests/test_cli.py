@@ -88,6 +88,20 @@ def test_kappa_brute_refuses_a_huge_length_at_once(tmp_path):
     assert res.returncode == 2 and "brute-force budget" in res.stderr
 
 
+def test_kappa_and_measure_refuse_a_wide_lp_at_once(tmp_path, capsys):
+    # 100 random members of 10,000 atoms make a 10,000 x 10,100 tableau,
+    # which would run for minutes
+    path = str(tmp_path / "wide.json")
+    assert main(["gen", "--kind", "collection", "--atoms", "10000", "--seed", "1",
+                 "--params", "size=100", "--out", path]) == 0
+    res = subprocess.run([sys.executable, "-m", "boolmeasure", "kappa", "--input", path],
+                         capture_output=True, text=True, timeout=10)
+    assert res.returncode == 2 and res.stderr.startswith("error:")
+    assert "tableau cells" in res.stderr
+    assert main(["measure", "--input", path]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_kappa_singleton(tmp_path):
     path = write(tmp_path, "single.json", {"atom_count": 2, "collection": [[0, 1]]})
     res = run_cli(["kappa", "--input", path])

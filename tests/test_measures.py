@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from boolmeasure.algebra import AtomSpace, Collection, enumerate_nonzero
 from boolmeasure.errors import ContractError, InputError, SizeError
-from boolmeasure.fragmentation import Fragmentation, from_measure
+from boolmeasure.fragmentation import from_measure
 from boolmeasure.generators import gen_measure
 from boolmeasure.measures import (
     Measure,
@@ -119,37 +119,31 @@ def test_subset_sums_matches_eval():
 def test_combine_single_level_is_identity():
     sp = AtomSpace(2)
     m = Measure(sp, (F(1, 3), F(2, 3)))
-    frag = Fragmentation(sp, (frozenset(enumerate_nonzero(sp)),))
-    out = combine_measures([(m, F(1, 3))], frag)
+    out = combine_measures([m])
     assert out.atom_weights == m.atom_weights
 
 
 def test_combine_two_levels_blend_arithmetic():
-    # weights 1/2 and 1/4, normalized by 3/4; level bounds not checkable for
-    # these degenerate measures, so only the blend arithmetic is under test
+    # weights 1/2 and 1/4, normalized by 3/4
     sp = AtomSpace(2)
     m1 = Measure(sp, (F(1), F(0)))
     m2 = Measure(sp, (F(0), F(1)))
-    full = frozenset(enumerate_nonzero(sp))
-    level1 = frozenset([sp.element([0]), sp.unit])
-    frag = Fragmentation(sp, (level1, full))
-    out = combine_measures([(m1, F(1, 2)), (m2, F(1, 4))], frag, check=False)
+    out = combine_measures([m1, m2])
     assert out.atom_weights == (F(2, 3), F(1, 3))
     assert out.strictly_positive
 
 
 def test_combine_rejects_violated_level():
-    sp = AtomSpace(2)
-    m1 = Measure(sp, (F(1), F(0)))
-    full = frozenset(enumerate_nonzero(sp))
-    frag = Fragmentation(sp, (full,))
-    with pytest.raises(ContractError) as err:
-        combine_measures([(m1, F(1, 2))], frag)  # m1({1}) = 0 < 1/2
-    assert "level 1" in str(err.value)
-    with pytest.raises(ContractError):
-        combine_measures([(m1, F(0))], frag)
+    # a level's bound m_n >= kappa_n is for its certificate to prove, and is
+    # checked from outside by test_combine_lower_bounds_per_level and
+    # test_certify_fragmentation_measure_pipeline; the blend refuses only
+    # input it cannot blend
     with pytest.raises(InputError):
-        combine_measures([], frag)
+        combine_measures([])
+    halves = Measure(AtomSpace(2), (F(1, 2),) * 2)
+    thirds = Measure(AtomSpace(3), (F(1, 3),) * 3)
+    with pytest.raises(InputError):
+        combine_measures([halves, thirds])
 
 
 def test_combine_lower_bounds_per_level():
@@ -163,8 +157,9 @@ def test_combine_lower_bounds_per_level():
         pairs = []
         for level in frag.levels:
             mm, kappa = measure_from_collection(Collection(sp, tuple(level)))
+            assert all(measure_eval(mm, c) >= kappa for c in level)
             pairs.append((mm, kappa))
-        out = combine_measures(pairs, frag)
+        out = combine_measures([mm for mm, _ in pairs])
         assert out.strictly_positive
         total = sum(F(1, 2**k) for k in range(1, frag.depth + 1))
         for k, level in enumerate(frag.levels, start=1):

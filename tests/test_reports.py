@@ -21,8 +21,8 @@ from pathlib import Path
 from boolmeasure.cli import main
 
 TABLE = Path(__file__).with_name("pinned_reports.json")
-ATOMS = range(2, 8)
-SEEDS = (0, 1)
+ATOMS = range(2, 10)
+SEEDS = (0, 1, 2)
 LEVEL_COMMANDS = (
     ("certify",),
     ("certify", "--trace"),
@@ -31,6 +31,8 @@ LEVEL_COMMANDS = (
     ("antichain", "--level", "1"),
 )
 COLLECTION_COMMANDS = (("kappa",), ("measure",))
+EXPANDER_PARAMS = ("m=20,p=30,k=3", "m=12,p=30,k=3")
+EXPANDER_COMMANDS = (("kr-verify",), ("kr-verify", "--choices"))
 
 
 def _runs():
@@ -44,6 +46,10 @@ def _runs():
             gen = ["--kind", "collection", "--atoms", str(atoms), "--seed", str(seed)]
             for command in COLLECTION_COMMANDS:
                 yield f"collection-{atoms}-{seed} {' '.join(command)}", gen, command
+    for params in EXPANDER_PARAMS:
+        gen = ["--kind", "expander", "--seed", "1", "--params", params]
+        for command in EXPANDER_COMMANDS:
+            yield f"expander-{params}-1 {' '.join(command)}", gen, command
 
 
 def _digest(code: int, stdout: str) -> str:
